@@ -206,29 +206,41 @@ HMatrix::HMatrix(int n, double lambda, std::vector<HBlock> blocks)
 
 namespace {
 
-// out(rows of blk) += blk * x(cols of blk), restricted to columns [c0, c1).
-void apply_block(const HBlock& blk, const la::Matrix& x, la::Matrix& out,
-                 int c0, int c1) {
+// Row chunk of the few-column multiply: a fixed size, so the work split
+// depends on the shape alone.
+constexpr int kRowChunk = 256;
+
+// V^T * x(cols of blk, c0:c1) of a low-rank block (k x (c1 - c0)).
+la::Matrix project_low_rank(const HBlock& blk, const la::Matrix& x, int c0,
+                            int c1) {
+  const int k = blk.lr.rank(), nc = c1 - c0;
+  la::Matrix tmp(k, nc);
+  for (int j = 0; j < blk.col_hi - blk.col_lo; ++j) {
+    const double* xrow = x.row(blk.col_lo + j) + c0;
+    const double* vrow = blk.lr.v.row(j);
+    for (int t = 0; t < k; ++t) {
+      const double vjt = vrow[t];
+      if (vjt == 0.0) continue;
+      double* trow = tmp.row(t);
+      for (int c = 0; c < nc; ++c) trow[c] += vjt * xrow[c];
+    }
+  }
+  return tmp;
+}
+
+// out(r0:r1, c0:c1) += blk(r0:r1, :) * x(cols of blk, c0:c1), for global
+// rows [r0, r1) inside the block; `tmp` is project_low_rank's result for a
+// low-rank block.  Each output element takes the block's terms in a fixed
+// order (t, or j, ascending) whatever the row range.
+void apply_block_rows(const HBlock& blk, const la::Matrix& tmp,
+                      const la::Matrix& x, la::Matrix& out, int r0, int r1,
+                      int c0, int c1) {
   const int nc = c1 - c0;
   if (blk.low_rank) {
     const int k = blk.lr.rank();
-    if (k == 0) return;
-    // tmp = V^T * x(cols, c0:c1)
-    la::Matrix tmp(k, nc);
-    for (int j = 0; j < blk.col_hi - blk.col_lo; ++j) {
-      const double* xrow = x.row(blk.col_lo + j) + c0;
-      const double* vrow = blk.lr.v.row(j);
-      for (int t = 0; t < k; ++t) {
-        const double vjt = vrow[t];
-        if (vjt == 0.0) continue;
-        double* trow = tmp.row(t);
-        for (int c = 0; c < nc; ++c) trow[c] += vjt * xrow[c];
-      }
-    }
-    // out(rows, c0:c1) += U * tmp
-    for (int i = 0; i < blk.row_hi - blk.row_lo; ++i) {
-      double* orow = out.row(blk.row_lo + i) + c0;
-      const double* urow = blk.lr.u.row(i);
+    for (int i = r0; i < r1; ++i) {
+      double* orow = out.row(i) + c0;
+      const double* urow = blk.lr.u.row(i - blk.row_lo);
       for (int t = 0; t < k; ++t) {
         const double uit = urow[t];
         if (uit == 0.0) continue;
@@ -237,9 +249,9 @@ void apply_block(const HBlock& blk, const la::Matrix& x, la::Matrix& out,
       }
     }
   } else {
-    for (int i = 0; i < blk.row_hi - blk.row_lo; ++i) {
-      double* orow = out.row(blk.row_lo + i) + c0;
-      const double* drow = blk.dense.row(i);
+    for (int i = r0; i < r1; ++i) {
+      double* orow = out.row(i) + c0;
+      const double* drow = blk.dense.row(i - blk.row_lo);
       for (int j = 0; j < blk.col_hi - blk.col_lo; ++j) {
         const double dij = drow[j];
         if (dij == 0.0) continue;
@@ -248,6 +260,15 @@ void apply_block(const HBlock& blk, const la::Matrix& x, la::Matrix& out,
       }
     }
   }
+}
+
+// out(rows of blk) += blk * x(cols of blk), restricted to columns [c0, c1).
+void apply_block(const HBlock& blk, const la::Matrix& x, la::Matrix& out,
+                 int c0, int c1) {
+  if (blk.low_rank && blk.lr.rank() == 0) return;
+  const la::Matrix tmp =
+      blk.low_rank ? project_low_rank(blk, x, c0, c1) : la::Matrix();
+  apply_block_rows(blk, tmp, x, out, blk.row_lo, blk.row_hi, c0, c1);
 }
 
 }  // namespace
@@ -270,21 +291,39 @@ la::Matrix HMatrix::multiply(const la::Matrix& x) const {
       for (const auto& blk : blocks_) apply_block(blk, x, out, c0, c1);
     }
   } else {
-    // Few columns: parallelize over blocks with per-thread accumulators.
-#pragma omp parallel
-    {
-      la::Matrix local(n_, s);
-#pragma omp for schedule(dynamic, 8) nowait
-      for (std::size_t b = 0; b < blocks_.size(); ++b) {
-        apply_block(blocks_[b], x, local, 0, s);
+    // Few columns: every low-rank block's V^T x first, then fixed row
+    // chunks in parallel, each applying the blocks that touch it in block
+    // order.  Every output element therefore sums its terms in block order,
+    // as in the column-sliced path, so the bits match that path's and do not
+    // depend on the thread count.
+    const std::size_t nb = blocks_.size();
+    std::vector<la::Matrix> proj(nb);
+#pragma omp parallel for schedule(dynamic, 8)
+    for (std::size_t b = 0; b < nb; ++b) {
+      if (blocks_[b].low_rank) proj[b] = project_low_rank(blocks_[b], x, 0, s);
+    }
+    const int nchunks = (n_ + kRowChunk - 1) / kRowChunk;
+    std::vector<std::vector<int>> touching(nchunks);
+    for (std::size_t b = 0; b < nb; ++b) {
+      const HBlock& blk = blocks_[b];
+      for (int ch = blk.row_lo / kRowChunk; ch * kRowChunk < blk.row_hi; ++ch) {
+        touching[ch].push_back(static_cast<int>(b));
       }
-#pragma omp critical(hmat_matvec_reduce)
-      out.add(local);
+    }
+#pragma omp parallel for schedule(dynamic)
+    for (int ch = 0; ch < nchunks; ++ch) {
+      const int r0 = ch * kRowChunk, r1 = std::min(n_, r0 + kRowChunk);
+      for (int b : touching[ch]) {
+        const HBlock& blk = blocks_[b];
+        apply_block_rows(blk, proj[b], x, out, std::max(r0, blk.row_lo),
+                         std::min(r1, blk.row_hi), 0, s);
+      }
     }
   }
 
-  // NOTE: the lambda shift is already baked into the dense diagonal blocks
-  // via KernelMatrix::entry(), so no extra diagonal term is added here.
+  // NOTE: the lambda shift is already in the dense diagonal blocks — they
+  // come from KernelMatrix::extract(), which adds it, and set_lambda() keeps
+  // them in sync — so no extra diagonal term is added here.
   return out;
 }
 

@@ -203,26 +203,32 @@ la::Matrix KernelMatrix::extract(const std::vector<int>& rows,
   if (nr == 0 || nc == 0) return out;
 
   // Gather the two point subsets into contiguous panels, one packed GEMM
-  // for all inner products, then the fused elementwise kernel transform.
-  // The packed core is used unconditionally — never the small-product
-  // fallback — so a given (i, j) inner product has exactly the same bits
-  // here as in dense() and multiply(): the randomized HSS builder subtracts
-  // extract()-based diagonal blocks from multiply()-based samples and
-  // relies on that cancellation staying below its absolute rank floor.
+  // for all inner products, then the tile transform.  The packed core is
+  // used unconditionally — never the small-product fallback — and the tile
+  // transform's bits do not depend on the tile, so a given (i, j) entry has
+  // exactly the same bits here as in dense(), multiply() and cross(): the
+  // randomized HSS builder subtracts extract()-based diagonal blocks from
+  // multiply()-based samples and relies on that cancellation staying below
+  // its absolute rank floor.
   const la::Matrix rpts = points_.rows_subset(rows);
   const la::Matrix cpts = points_.rows_subset(cols);
   la::detail::gemm_packed_serial(nr, nc, points_.cols(), 1.0, rpts.data(),
                                  rpts.cols(), false, cpts.data(), cpts.cols(),
                                  true, out.data(), nc);
+  std::vector<double> rnorm(nr), cnorm(nc);
+  for (int r = 0; r < nr; ++r) rnorm[r] = sqnorm_[rows[r]];
+  for (int c = 0; c < nc; ++c) cnorm[c] = sqnorm_[cols[c]];
+  constexpr int kRowsPerTask = 16;
 #pragma omp parallel for schedule(static) if (out.size() > 4096)
-  for (int r = 0; r < nr; ++r) {
-    const int i = rows[r];
-    double* orow = out.row(r);
-    for (int c = 0; c < nc; ++c) {
-      const int j = cols[c];
-      double v = from_products(orow[c], sqnorm_[i], sqnorm_[j]);
-      if (i == j) v += lambda_;
-      orow[c] = v;
+  for (int rb = 0; rb < nr; rb += kRowsPerTask) {
+    const int ni = std::min(kRowsPerTask, nr - rb);
+    kernel_tile_from_products(params_, ni, nc, out.row(rb), nc,
+                              rnorm.data() + rb, cnorm.data());
+    for (int r = rb; r < rb + ni; ++r) {
+      double* orow = out.row(r);
+      for (int c = 0; c < nc; ++c) {
+        if (rows[r] == cols[c]) orow[c] += lambda_;
+      }
     }
   }
   return out;
@@ -236,8 +242,8 @@ la::Matrix KernelMatrix::dense() const {
 
   // syrk-style assembly: only tiles on or below the diagonal are computed —
   // inner products X_I X_J^T through the packed gemm core (the serving
-  // path's panel scheme), the fused kernel transform, then a mirror into
-  // the upper triangle.  Tiles are element-disjoint, so the parallel
+  // path's panel scheme), the tile transform, then a mirror of the lower
+  // triangle into the upper one.  Tiles are element-disjoint, so the parallel
   // dynamic schedule cannot change any value.
   const int ntiles = (nn + kTile - 1) / kTile;
 #pragma omp parallel
@@ -250,16 +256,16 @@ la::Matrix KernelMatrix::dense() const {
       for (int jb = 0; jb <= ib; jb += kTile) {
         const int nj = std::min(kTile, nn - jb);
         dot_tile(points_, ib, ni, jb, nj, tile.data());
+        kernel_tile_from_products(params_, ni, nj, tile.data(), kTile,
+                                  &sqnorm_[ib], &sqnorm_[jb]);
         const bool diag_tile = ib == jb;
         for (int i = 0; i < ni; ++i) {
           const double* trow = tile.data() + static_cast<std::size_t>(i) * kTile;
           double* orow = out.row(ib + i);
           const int jmax = diag_tile ? i + 1 : nj;
           for (int j = 0; j < jmax; ++j) {
-            const double v =
-                from_products(trow[j], sqnorm_[ib + i], sqnorm_[jb + j]);
-            orow[jb + j] = v;
-            if (ib + i != jb + j) out(jb + j, ib + i) = v;
+            orow[jb + j] = trow[j];
+            if (ib + i != jb + j) out(jb + j, ib + i) = trow[j];
           }
         }
       }
@@ -290,14 +296,10 @@ la::Matrix KernelMatrix::multiply(const la::Matrix& x) const {
       const int ni = std::min(kTile, nn - ib);
       for (int jb = 0; jb < nn; jb += kTile) {
         const int nj = std::min(kTile, nn - jb);
-        // tile = X_I * X_J^T  then elementwise kernel transform.
+        // tile = X_I * X_J^T  then the tile transform.
         dot_tile(points_, ib, ni, jb, nj, tile.data());
-        for (int i = 0; i < ni; ++i) {
-          double* trow = tile.data() + static_cast<std::size_t>(i) * kTile;
-          for (int j = 0; j < nj; ++j) {
-            trow[j] = from_products(trow[j], sqnorm_[ib + i], sqnorm_[jb + j]);
-          }
-        }
+        kernel_tile_from_products(params_, ni, nj, tile.data(), kTile,
+                                  &sqnorm_[ib], &sqnorm_[jb]);
         // S(I,:) += tile * X(J,:)
         la::detail::gemm_packed_serial(ni, s, nj, 1.0, tile.data(), kTile,
                                        false, x.row(jb), s, false, out.row(ib),
@@ -367,22 +369,22 @@ la::Matrix KernelMatrix::cross(const la::Matrix& other_points) const {
   count_evals(static_cast<long>(m) * nn);
   if (m == 0 || nn == 0) return out;
   // Row panels of the cross block: one packed gemm per panel straight into
-  // the output rows, then the fused kernel transform in place.
+  // the output rows, then the tile transform in place.
 #pragma omp parallel for schedule(dynamic)
   for (int ib = 0; ib < m; ib += kTile) {
     const int ni = std::min(kTile, m - ib);
     la::detail::gemm_packed_serial(ni, nn, d, 1.0, other_points.row(ib), d,
                                    false, points_.data(), d, true, out.row(ib),
                                    nn);
+    double norms[kTile];
     for (int i = 0; i < ni; ++i) {
       const double* xi = other_points.row(ib + i);
       double sq = 0.0;
       for (int k = 0; k < d; ++k) sq += xi[k] * xi[k];
-      double* orow = out.row(ib + i);
-      for (int j = 0; j < nn; ++j) {
-        orow[j] = from_products(orow[j], sq, sqnorm_[j]);
-      }
+      norms[i] = sq;
     }
+    kernel_tile_from_products(params_, ni, nn, out.row(ib), nn, norms,
+                              sqnorm_.data());
   }
   return out;
 }

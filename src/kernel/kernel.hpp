@@ -14,9 +14,10 @@
 // evaluates from inner products and squared norms alone, so tile evaluation
 // reduces to a GEMM plus an elementwise transform regardless of which
 // kernel — or combination of kernels — is active.  Families live in a
-// registry (kernel.cpp); kernel_from_products() is the single dispatch
-// point, and nothing outside src/kernel/ may branch on KernelType
-// (enforced by tools/lint_khss.py, rule kernel-type-switch).
+// registry (kernel.cpp): kernel_from_products() is the per-element reference
+// and kernel_tile_from_products() (kernel_tile.cpp) the vectorized tile form
+// every bulk path uses.  Nothing outside src/kernel/ may branch on
+// KernelType (enforced by tools/lint_khss.py, rule kernel-type-switch).
 
 #include <atomic>
 #include <stdexcept>
@@ -73,11 +74,44 @@ bool kernel_is_composite(KernelType t);
 /// k(x, y) evaluated from inner products: dot_xy = x . y, nx = ||x||^2,
 /// ny = ||y||^2.  Every kernel family (composites included) reduces to this
 /// form, which is what lets tile evaluation run as a GEMM plus an
-/// elementwise transform.  Shared by KernelMatrix and the batched serving
-/// path (predict::BatchPredictor), which fuses it into blocked cross-kernel
-/// panels.  Dispatches through the family registry in kernel.cpp.
+/// elementwise transform.  This is the per-element reference (std::exp),
+/// used by KernelMatrix::entry(), cross_times_vector and the tests; the bulk
+/// paths run kernel_tile_from_products below.  Dispatches through the
+/// family registry in kernel.cpp.
 double kernel_from_products(const KernelParams& params, double dot_xy,
                             double nx, double ny);
+
+/// Tile form of kernel_from_products over a row-major tile with leading
+/// dimension ld: g[i*ld + j] <- k(g[i*ld + j], nx[i], ny[j]) for i < rows,
+/// j < cols.  Every bulk path (KernelMatrix::extract/dense/multiply/cross
+/// and predict::BatchPredictor) goes through it.  The family is picked once
+/// per tile and exp runs vectorized (kernel_tile.cpp, AVX-512 / AVX2+FMA /
+/// scalar tiers chosen once per process from the host CPU).  Contract:
+///   - each family builds its exp argument exactly as kernel_from_products
+///     does, so results differ from it only inside exp, by at most 1 ulp
+///     of exp; families without exp (dot, polynomial) match it bit for bit;
+///   - an element's bits depend only on its (g, nx, ny): not on its
+///     position in the tile, the tile shape, the caller, the thread count
+///     or the ISA tier (every tier gives the same bits).
+void kernel_tile_from_products(const KernelParams& params, int rows, int cols,
+                               double* g, int ld, const double* nx,
+                               const double* ny);
+
+namespace detail {
+
+/// ISA tiers of the tile transform this host can run, best first: a subset
+/// of "avx512", "avx2", "scalar" (always last).
+std::vector<std::string> supported_tile_isas();
+
+/// Test entry: kernel_tile_from_products on a named tier (an unknown or
+/// unsupported name runs the best tier), so tests can pin every tier the
+/// host supports against the scalar one.
+void kernel_tile_from_products_with(const std::string& isa,
+                                    const KernelParams& params, int rows,
+                                    int cols, double* g, int ld,
+                                    const double* nx, const double* ny);
+
+}  // namespace detail
 
 /// Symmetric kernel matrix K + lambda*I over a fixed point set, evaluated
 /// lazily.  Points are stored in the order given (callers pass the

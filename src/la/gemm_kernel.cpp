@@ -4,22 +4,13 @@
 #include <cstddef>
 #include <vector>
 
-#if defined(__x86_64__) && defined(__GNUC__)
-#include <immintrin.h>
-#endif
-
 #include "la/gemm_tune.hpp"
+#include "util/isa.hpp"
 #include "util/threads.hpp"
 
 namespace khss::la::detail {
 
 namespace {
-
-#if defined(__GNUC__)
-#define KHSS_ALWAYS_INLINE inline __attribute__((always_inline))
-#else
-#define KHSS_ALWAYS_INLINE inline
-#endif
 
 // ---------------------------------------------------------------------------
 // Register-tile templates.  MR/NR are compile-time properties of a kernel
@@ -168,10 +159,7 @@ struct KernelOps {
 
 KHSS_KOPS(generic, 4, 8, )
 
-#if defined(__x86_64__) && defined(__GNUC__)
-#define KHSS_GEMM_MULTIVERSION 1
-#define KHSS_TGT_AVX2 __attribute__((target("avx2,fma")))
-#define KHSS_TGT_AVX512 __attribute__((target("avx512f,avx512vl,avx512dq")))
+#if defined(KHSS_ISA_MULTIVERSION)
 KHSS_KOPS(avx2, 4, 8, KHSS_TGT_AVX2)
 
 // Explicit zmm microkernel for the AVX-512 variants.  GCC's autovectorizer
@@ -268,7 +256,7 @@ KHSS_KOPS_ZMM(avx512_6x16, 6)
 const KernelOps kOpsGeneric{"generic-4x8", 4,      8,
                             pack_a_generic, pack_b_generic, macro_generic,
                             false};
-#if defined(KHSS_GEMM_MULTIVERSION)
+#if defined(KHSS_ISA_MULTIVERSION)
 const KernelOps kOpsAvx2{"avx2-4x8", 4, 8, pack_a_avx2, pack_b_avx2,
                          macro_avx2, true};
 const KernelOps kOpsAvx512_8x16{"avx512-8x16",     8,
@@ -281,34 +269,16 @@ const KernelOps kOpsAvx512_6x16{"avx512-6x16",     6,
                                 true};
 #endif
 
-bool cpu_has_avx2() {
-#if defined(KHSS_GEMM_MULTIVERSION)
-  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
-#else
-  return false;
-#endif
-}
-
-bool cpu_has_avx512() {
-#if defined(KHSS_GEMM_MULTIVERSION)
-  return __builtin_cpu_supports("avx512f") &&
-         __builtin_cpu_supports("avx512vl") &&
-         __builtin_cpu_supports("avx512dq");
-#else
-  return false;
-#endif
-}
-
 // Supported variants, best first; [0] is the startup default.
 const std::vector<const KernelOps*>& supported_ops() {
   static const std::vector<const KernelOps*> ops = [] {
     std::vector<const KernelOps*> v;
-#if defined(KHSS_GEMM_MULTIVERSION)
-    if (cpu_has_avx512()) {
+#if defined(KHSS_ISA_MULTIVERSION)
+    if (util::cpu_has_avx512()) {
       v.push_back(&kOpsAvx512_8x16);
       v.push_back(&kOpsAvx512_6x16);
     }
-    if (cpu_has_avx2()) v.push_back(&kOpsAvx2);
+    if (util::cpu_has_avx2()) v.push_back(&kOpsAvx2);
 #endif
     v.push_back(&kOpsGeneric);
     return v;

@@ -158,17 +158,12 @@ void BatchPredictor::predict_batch(const la::Matrix& points,
           g_tail.resize(pi, t);
           g = &g_tail;
         }
-        // G = X_panel * X_tile^T, then the fused elementwise kernel
-        // transform turns inner products into kernel values.
+        // G = X_panel * X_tile^T, then the tile transform turns inner
+        // products into kernel values.
         la::gemm(1.0, xpanel, la::Trans::kNo, tile.points, la::Trans::kYes,
                  0.0, *g);
-        for (int i = 0; i < pi; ++i) {
-          double* grow = g->row(i);
-          for (int j = 0; j < t; ++j) {
-            grow[j] = kernel::kernel_from_products(params_, grow[j], sq[i],
-                                                   tile.sqnorm[j]);
-          }
-        }
+        kernel::kernel_tile_from_products(params_, pi, t, g->data(), t,
+                                          sq.data(), tile.sqnorm.data());
         // S_panel += G * W_tile: every output column in one pass.
         la::gemm(1.0, *g, la::Trans::kNo, tile.weights, la::Trans::kNo, 1.0,
                  scores);

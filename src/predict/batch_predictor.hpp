@@ -18,7 +18,7 @@
 // coefficients embedded at the landmark indices, this is the fast path that
 // only ever touches landmark columns.  Each predict_batch() call then runs
 //   G   = X_panel * X_tile^T          (blocked gemm via la::Matrix)
-//   G  <- kernel transform(G)         (fused elementwise, Eq. 1.1)
+//   G  <- kernel transform(G)         (kernel::kernel_tile_from_products)
 //   S_panel += G * W_tile             (multi-RHS accumulation)
 // with OpenMP parallelism over row panels.  Every output row's arithmetic
 // stream is independent of the panel it lands in and of the thread count, so

@@ -7,6 +7,7 @@
 #include "hmat/hmatrix.hpp"
 #include "la/blas.hpp"
 #include "util/rng.hpp"
+#include "util/threads.hpp"
 
 namespace cl = khss::cluster;
 namespace hm = khss::hmat;
@@ -174,4 +175,38 @@ TEST(HMatrix, WorksWithNaturalOrderingToo) {
   la::Matrix y = h.multiply(x);
   la::Matrix ref = la::matmul(s.kernel->dense(), x);
   EXPECT_LT(la::diff_f(y, ref), 1e-4 * (1.0 + la::norm_f(ref)));
+}
+
+TEST(HMatrix, FewColumnMultiplyIsBitIdenticalAcrossThreadsAndCalls) {
+  // Fewer than 4 columns take the block-parallel path (the PCG backend's
+  // matvec); its bits must not depend on the thread count or on the run,
+  // and must match the column-sliced path's for the same columns.
+  HmCtx s = make_setup(600, 5, 1.0, 0.4, 14);  // three 256-row chunks
+  hm::HOptions opts;
+  opts.rtol = 1e-6;
+  hm::HMatrix h(*s.kernel, s.tree, opts);
+  ASSERT_GT(h.stats().num_lowrank_blocks, 0);
+  khss::util::Rng rng(15);
+  la::Matrix wide(600, 8);
+  rng.fill_normal(wide.data(), wide.size());
+
+  const int saved = khss::util::max_threads();
+  khss::util::set_threads(4);
+  const la::Matrix sliced = h.multiply(wide);  // column-sliced path
+  for (int cols = 1; cols <= 3; ++cols) {
+    const la::Matrix x = wide.block(0, 0, 600, cols);
+    for (int threads : {1, 4}) {
+      khss::util::set_threads(threads);
+      for (int call = 0; call < 20; ++call) {
+        const la::Matrix y = h.multiply(x);
+        bool same = true;
+        for (int i = 0; i < 600 && same; ++i) {
+          for (int c = 0; c < cols; ++c) same = same && y(i, c) == sliced(i, c);
+        }
+        ASSERT_TRUE(same) << cols << " columns, " << threads
+                          << " threads, call " << call;
+      }
+    }
+  }
+  khss::util::set_threads(saved);
 }

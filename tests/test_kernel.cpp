@@ -1,7 +1,11 @@
 // Tests for kernel functions and the partially matrix-free KernelMatrix.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
+#include <cstring>
 #include <functional>
 #include <stdexcept>
 #include <string>
@@ -426,6 +430,277 @@ TEST(KernelSpec, ValidateRejectsHandBuiltContradictions) {
   k::KernelParams empty;
   empty.type = k::KernelType::kSum;
   EXPECT_THROW(k::validate_kernel_params(empty), std::invalid_argument);
+}
+
+// --- Tile transform: kernel_tile_from_products ----------------------------
+
+namespace {
+
+std::uint64_t bits_of(double x) {
+  std::uint64_t b = 0;
+  std::memcpy(&b, &x, sizeof b);
+  return b;
+}
+
+/// Distance in ulps between two finite doubles of the same sign.
+std::int64_t ulp_distance(double a, double b) {
+  const auto ia = static_cast<std::int64_t>(bits_of(std::fabs(a)));
+  const auto ib = static_cast<std::int64_t>(bits_of(std::fabs(b)));
+  return std::llabs(ia - ib);
+}
+
+struct TileCase {
+  std::string label;
+  k::KernelParams params;
+  std::int64_t max_ulps;  // bound against kernel_from_products
+};
+
+std::vector<TileCase> tile_cases() {
+  k::KernelParams sum;
+  sum.type = k::KernelType::kSum;
+  sum.terms = {atom(k::KernelType::kGaussian, 1.3),
+               atom(k::KernelType::kMatern32, 0.9, /*weight=*/0.5)};
+  k::KernelParams product;
+  product.type = k::KernelType::kProduct;
+  product.terms = {atom(k::KernelType::kLaplacian, 2.0),
+                   atom(k::KernelType::kMatern52, 1.1, /*weight=*/3.0)};
+  k::KernelParams poly = atom(k::KernelType::kPolynomial, 1.7);
+  poly.degree = 3;
+  poly.coef0 = 0.5;
+  // exp is within 1 ulp of std::exp, so the exp-only families are too; the
+  // Matérn prefactor and the composites' sums/products add at most one
+  // rounding each on top; dot and polynomial never call exp.
+  return {
+      {"gaussian", atom(k::KernelType::kGaussian, 1.3), 1},
+      {"laplacian", atom(k::KernelType::kLaplacian, 0.8), 1},
+      {"matern32", atom(k::KernelType::kMatern32, 0.9), 2},
+      {"matern52", atom(k::KernelType::kMatern52, 1.1), 2},
+      {"dot", atom(k::KernelType::kDot, 2.0), 0},
+      {"polynomial", poly, 0},
+      {"sum", sum, 3},
+      {"product", product, 4},
+  };
+}
+
+double sqnorm(const la::Matrix& pts, int i) {
+  double s = 0.0;
+  for (int c = 0; c < pts.cols(); ++c) s += pts(i, c) * pts(i, c);
+  return s;
+}
+
+}  // namespace
+
+TEST(TileTransform, MatchesReferenceOnRaggedWidthsForEveryFamily) {
+  const int rows = 3, d = 4;
+  la::Matrix x = random_points(rows, d, 31);
+  for (const TileCase& tc : tile_cases()) {
+    for (int width : {1, 7, 8, 9, 127, 128, 129}) {
+      la::Matrix y = random_points(width, d, 32 + width);
+      const int ld = width + 5;  // padding after each row must stay untouched
+      std::vector<double> nx(rows), ny(width);
+      std::vector<double> dots(static_cast<std::size_t>(rows) * ld, -7.0);
+      for (int i = 0; i < rows; ++i) nx[i] = sqnorm(x, i);
+      for (int j = 0; j < width; ++j) ny[j] = sqnorm(y, j);
+      for (int i = 0; i < rows; ++i) {
+        for (int j = 0; j < width; ++j) {
+          double dot = 0.0;
+          for (int c = 0; c < d; ++c) dot += x(i, c) * y(j, c);
+          dots[static_cast<std::size_t>(i) * ld + j] = dot;
+        }
+      }
+
+      std::vector<double> scalar = dots;
+      k::detail::kernel_tile_from_products_with(
+          "scalar", tc.params, rows, width, scalar.data(), ld, nx.data(),
+          ny.data());
+      for (int i = 0; i < rows; ++i) {
+        for (int j = 0; j < ld; ++j) {
+          const std::size_t at = static_cast<std::size_t>(i) * ld + j;
+          if (j >= width) {
+            ASSERT_EQ(scalar[at], -7.0) << tc.label << " wrote past cols";
+            continue;
+          }
+          const double ref =
+              k::kernel_from_products(tc.params, dots[at], nx[i], ny[j]);
+          EXPECT_LE(ulp_distance(scalar[at], ref), tc.max_ulps)
+              << tc.label << " width " << width << " at (" << i << "," << j
+              << "): tile " << scalar[at] << " vs reference " << ref;
+          // Position independence: the same triple alone in a 1x1 tile.
+          double alone = dots[at];
+          k::detail::kernel_tile_from_products_with(
+              "scalar", tc.params, 1, 1, &alone, 1, &nx[i], &ny[j]);
+          EXPECT_EQ(bits_of(alone), bits_of(scalar[at])) << tc.label;
+        }
+      }
+
+      // Every tier the host runs gives the scalar tier's bits, tails too.
+      for (const std::string& isa : k::detail::supported_tile_isas()) {
+        std::vector<double> tier = dots;
+        k::detail::kernel_tile_from_products_with(isa, tc.params, rows, width,
+                                                  tier.data(), ld, nx.data(),
+                                                  ny.data());
+        for (std::size_t at = 0; at < tier.size(); ++at) {
+          ASSERT_EQ(bits_of(tier[at]), bits_of(scalar[at]))
+              << tc.label << " tier " << isa << " width " << width
+              << " flat index " << at;
+        }
+      }
+
+      // The public entry runs the best tier.
+      std::vector<double> best = dots;
+      k::kernel_tile_from_products(tc.params, rows, width, best.data(), ld,
+                                   nx.data(), ny.data());
+      EXPECT_EQ(std::memcmp(best.data(), scalar.data(),
+                            best.size() * sizeof(double)),
+                0)
+          << tc.label;
+    }
+  }
+}
+
+TEST(TileTransform, ExpIsWithinOneUlpOverTheWholeNegativeRange) {
+  // Gaussian with h = 1 and dot = ny = 0 evaluates exp(-nx / 2) exactly at
+  // the argument -a for nx = 2a.
+  const int m = 200003;
+  std::vector<double> nx(m), g(m, 0.0);
+  const double ny = 0.0;
+  for (int i = 0; i < m; ++i) nx[i] = 2.0 * (745.0 * i / (m - 1));
+  const k::KernelParams p = atom(k::KernelType::kGaussian, 1.0);
+  std::vector<double> scalar = g;
+  k::detail::kernel_tile_from_products_with("scalar", p, m, 1, scalar.data(),
+                                            1, nx.data(), &ny);
+  std::int64_t worst = 0;
+  for (int i = 0; i < m; ++i) {
+    worst = std::max(worst, ulp_distance(scalar[i], std::exp(-nx[i] / 2.0)));
+  }
+  EXPECT_LE(worst, 1);
+  // The subnormal tail (-745 < x < -708) included, every tier rounds alike.
+  for (const std::string& isa : k::detail::supported_tile_isas()) {
+    std::vector<double> tier = g;
+    k::detail::kernel_tile_from_products_with(isa, p, m, 1, tier.data(), 1,
+                                              nx.data(), &ny);
+    for (int i = 0; i < m; ++i) {
+      ASSERT_EQ(bits_of(tier[i]), bits_of(scalar[i]))
+          << isa << " at -" << nx[i] / 2.0;
+    }
+  }
+}
+
+TEST(TileTransform, EdgeArguments) {
+  for (const TileCase& tc : tile_cases()) {
+    if (tc.max_ulps == 0) continue;  // dot/polynomial: no exp, exact above
+    for (const std::string& isa : k::detail::supported_tile_isas()) {
+      // d^2 = 0 exactly, and d^2 = 2 - 2(1 + 2^-52) < 0 from rounding: both
+      // clamp to r = 0, where every exp-based atom is exactly 1.
+      const double one_up = 1.0 + std::ldexp(1.0, -52);
+      double g[2] = {1.5, one_up};
+      const double nx[2] = {1.5, 1.0};
+      const double ny[2] = {1.5, 1.0};
+      for (int i = 0; i < 2; ++i) {
+        k::detail::kernel_tile_from_products_with(isa, tc.params, 1, 1, &g[i],
+                                                  1, &nx[i], &ny[i]);
+        EXPECT_EQ(g[i], k::kernel_from_products(tc.params, i == 0 ? 1.5
+                                                                  : one_up,
+                                                nx[i], ny[i]))
+            << tc.label << " " << isa << " case " << i;
+        if (!k::kernel_is_composite(tc.params.type)) {
+          EXPECT_EQ(g[i], 1.0) << tc.label << " " << isa;
+        }
+      }
+      // Deep in the underflow range: no NaN, only 0 or a value within
+      // 1e-300 of it.  For an atom, nx is chosen so that its exp argument is
+      // exactly -a (dot = ny = 0); a composite just gets huge distances.
+      std::vector<double> far;
+      const double h = tc.params.h;
+      for (double a : {709.0, 720.0, 740.0, 745.0, 745.13, 745.2, 746.0, 800.0,
+                       1e4, 1e100}) {
+        switch (tc.params.type) {
+          case k::KernelType::kGaussian: far.push_back(a * 2.0 * h * h); break;
+          case k::KernelType::kLaplacian: far.push_back(a * h * a * h); break;
+          case k::KernelType::kMatern32: far.push_back(a * h * a * h / 3.0); break;
+          case k::KernelType::kMatern52: far.push_back(a * h * a * h / 5.0); break;
+          default: break;
+        }
+      }
+      if (far.empty()) far = {1e7, 1e100, 1e300};
+      std::vector<double> tile(far.size(), 0.0);
+      const double zero = 0.0;
+      k::detail::kernel_tile_from_products_with(
+          isa, tc.params, static_cast<int>(far.size()), 1, tile.data(), 1,
+          far.data(), &zero);
+      for (std::size_t i = 0; i < far.size(); ++i) {
+        EXPECT_FALSE(std::isnan(tile[i])) << tc.label << " " << isa;
+        EXPECT_LE(std::fabs(tile[i]), 1e-300)
+            << tc.label << " " << isa << " at nx = " << far[i];
+      }
+    }
+  }
+}
+
+TEST(TileTransform, DiagonalStaysExactlyOnePlusLambda) {
+  // 1-D points: the packed GEMM's x*x and the stored squared norm agree
+  // bit for bit, so d^2 = 0 exactly on the diagonal.
+  la::Matrix pts = random_points(37, 1, 33);
+  k::KernelMatrix km(pts, {k::KernelType::kGaussian, 0.8, 2, 1.0}, 0.25);
+  std::vector<int> idx(37);
+  for (int i = 0; i < 37; ++i) idx[i] = i;
+  la::Matrix sub = km.extract(idx, idx);
+  la::Matrix full = km.dense();
+  for (int i = 0; i < 37; ++i) {
+    EXPECT_EQ(sub(i, i), 1.25);
+    EXPECT_EQ(full(i, i), 1.25);
+  }
+}
+
+TEST(TileTransform, BulkPathsShareBitsWithExtract) {
+  // extract(), dense(), multiply() and cross() all run the same packed GEMM
+  // inner products and the same tile transform, so they agree bit for bit
+  // — the randomized HSS builder's extract-vs-multiply cancellation relies
+  // on it.  n = 300 is not a multiple of the 8-lane width or 128-wide tiles.
+  const int n = 300;
+  const double lambda = 0.7;
+  la::Matrix pts = random_points(n, 5, 34);
+  k::KernelParams composite;
+  composite.type = k::KernelType::kSum;
+  composite.terms = {atom(k::KernelType::kGaussian, 1.2),
+                     atom(k::KernelType::kMatern52, 0.9, /*weight=*/0.25)};
+  for (const k::KernelParams& params :
+       {atom(k::KernelType::kGaussian, 1.1), composite}) {
+    k::KernelMatrix km(pts, params, lambda);
+    std::vector<int> rows, cols;
+    for (int i = n - 1; i >= 0; i -= 2) rows.push_back(i);  // 150, reversed
+    for (int j = 0; j < n; j += 3) cols.push_back(j);       // 100
+    for (int j = 1; j < n; j += 7) cols.push_back(j);       // 43 more
+    la::Matrix e = km.extract(rows, cols);
+
+    // multiply() on identity columns e_j for every 11th extracted column j
+    // (13 of them): column q of the product is K(:, j) + lambda e_j.
+    std::vector<int> probe;
+    for (std::size_t c = 0; c < cols.size(); c += 11) probe.push_back(static_cast<int>(c));
+    la::Matrix unit(n, static_cast<int>(probe.size()));
+    for (std::size_t q = 0; q < probe.size(); ++q) unit(cols[probe[q]], static_cast<int>(q)) = 1.0;
+    const la::Matrix via_multiply = km.multiply(unit);
+    const la::Matrix full = km.dense();
+    const la::Matrix via_cross = km.cross(pts.rows_subset(rows));  // no lambda
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+      const int ir = static_cast<int>(r);
+      for (std::size_t c = 0; c < cols.size(); ++c) {
+        const int i = rows[r], j = cols[c];
+        const double v = e(ir, static_cast<int>(c));
+        ASSERT_EQ(bits_of(v), bits_of(full(i, j)))
+            << k::kernel_name(params.type) << " dense at (" << i << "," << j << ")";
+        const double shifted = i == j ? via_cross(ir, j) + lambda : via_cross(ir, j);
+        ASSERT_EQ(bits_of(v), bits_of(shifted))
+            << k::kernel_name(params.type) << " cross at (" << i << "," << j << ")";
+      }
+      for (std::size_t q = 0; q < probe.size(); ++q) {
+        const int c = probe[q];
+        ASSERT_EQ(bits_of(e(ir, c)), bits_of(via_multiply(rows[r], static_cast<int>(q))))
+            << k::kernel_name(params.type) << " multiply at (" << rows[r] << ","
+            << cols[c] << ")";
+      }
+    }
+  }
 }
 
 // --- Eval budget: the matrix-free audit guard ------------------------------
