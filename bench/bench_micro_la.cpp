@@ -6,13 +6,16 @@
 //
 // Measures the packed/blocked kernels against the retained naive baselines
 // (la::gemm_naive and local copies of the pre-blocking Cholesky/TRSM loops)
-// and reports GFLOP/s plus blocked-over-naive speedups.  With --json the
+// and reports GFLOP/s plus blocked-over-naive speedups.  The Householder
+// rows time the fit's own shapes (a ULV node's QR + Q, its QL, the ID of an
+// H sample) at 1, 2 and N threads.  With --json the
 // same numbers go to a structured file — the cross-PR perf trajectory
 // (BENCH_la.json); CI runs this on a small fixed size and uploads the file
 // as an artifact.
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -22,6 +25,7 @@
 #include "la/gemm_kernel.hpp"
 #include "la/lu.hpp"
 #include "la/qr.hpp"
+#include "la/rrqr.hpp"
 #include "util/timer.hpp"
 
 using namespace khss;
@@ -124,6 +128,15 @@ double best_seconds(int reps, Fn&& fn) {
 
 double gflops(double flops, double seconds) {
   return seconds > 0.0 ? flops / seconds / 1e9 : 0.0;
+}
+
+// LAPACK's flop counts: dgeqrf of an m x n panel (n <= m) and dorgqr of an
+// m x n Q from k reflectors.
+double qr_flops(double m, double n) {
+  return 2.0 * m * n * n - 2.0 * n * n * n / 3.0;
+}
+double q_flops(double m, double n, double k) {
+  return 4.0 * m * n * k - 2.0 * (m + n) * k * k + 4.0 * k * k * k / 3.0;
 }
 
 }  // namespace
@@ -278,24 +291,21 @@ int main(int argc, char** argv) {
                  .set("naive_gflops", gflops(lu_flops, t_lu_nai))
                  .set("speedup", t_lu_nai / t_lu));
 
-    // Householder QR on n x n/2 (algorithm unchanged this PR, but its
-    // trailing update and apply paths were parallelized — keep it on the
-    // trajectory so regressions there stay visible).
+    // Householder QR on n x n/2 (row-major reflector steps, one thread).
     const int qn = std::max(1, n / 2);
-    const double qr_flops =
-        2.0 * n * qn * qn - 2.0 * qn * qn * qn / 3.0;
+    const double qr_n_flops = qr_flops(n, qn);
     la::Matrix qa = random_matrix(n, qn, 41);
     const double t_qr = best_seconds(reps, [&] {
       la::QRFactor f(qa);
       (void)f;
     });
     tg.add_row({"qr", std::to_string(n), util::Table::fmt(t_qr, 4),
-                util::Table::fmt(gflops(qr_flops, t_qr), 2), "-", "-"});
+                util::Table::fmt(gflops(qr_n_flops, t_qr), 2), "-", "-"});
     jqr.push(util::Json::object()
                  .set("n", static_cast<long>(n))
                  .set("cols", static_cast<long>(qn))
                  .set("seconds", t_qr)
-                 .set("gflops", gflops(qr_flops, t_qr)));
+                 .set("gflops", gflops(qr_n_flops, t_qr)));
   }
   tg.print(std::cout, "compute core vs naive (best of " +
                           std::to_string(reps) + ")");
@@ -341,6 +351,68 @@ int main(int argc, char** argv) {
   tmt.print(std::cout, "threaded packed core vs serial driver (best of " +
                            std::to_string(reps) + ")");
 
+  // Householder kernels at the tune-mnist fit's shapes: QR + q_full of a
+  // 128-row ULV block with 54 and 80 reflectors, the QL of a 430 x 215 U
+  // basis (QR + Omega), and the row ID of a 430 x 256 H sample of rank 215.
+  // The Householder kernels run on the calling thread; at more threads only
+  // the transposes and the ID's triangular solve fan out.
+  util::Json jhh = util::Json::array();
+  util::Table thh({"kernel", "shape", "threads", "seconds", "GFLOP/s"});
+  la::Matrix sample = la::matmul(random_matrix(430, 215, 51),
+                                 random_matrix(215, 256, 52));
+  {
+    const la::Matrix noise = random_matrix(430, 256, 53);
+    for (std::size_t i = 0; i < sample.size(); ++i) {
+      sample.data()[i] += 1e-9 * noise.data()[i];
+    }
+  }
+  const int id_rank =
+      static_cast<int>(la::interpolative_rows(sample, {}).rows.size());
+  struct HouseholderCase {
+    std::string kernel;
+    int m, n;
+    double flops;
+    std::function<void()> run;
+  };
+  const la::Matrix u54 = random_matrix(128, 54, 54);
+  const la::Matrix u80 = random_matrix(128, 80, 55);
+  const la::Matrix u215 = random_matrix(430, 215, 56);
+  const std::vector<HouseholderCase> hcases = {
+      {"qr+q_full", 128, 54, qr_flops(128, 54) + q_flops(128, 128, 54),
+       [&] { (void)la::QRFactor(u54).q_full(); }},
+      {"qr+q_full", 128, 80, qr_flops(128, 80) + q_flops(128, 128, 80),
+       [&] { (void)la::QRFactor(u80).q_full(); }},
+      {"ql_zero_top", 430, 215, qr_flops(430, 215) + q_flops(430, 430, 215),
+       [&] { (void)la::ql_zero_top(u215); }},
+      // Truncated pivoted QR of the 256 x 430 transpose to rank k, plus the
+      // k x k triangular solve against the other 430 - k columns.
+      {"interpolative_rows", 430, 256,
+       q_flops(256, 430, id_rank) +
+           static_cast<double>(id_rank) * id_rank * (430 - id_rank),
+       [&] { (void)la::interpolative_rows(sample, {}); }}};
+  for (const HouseholderCase& hc : hcases) {
+    for (const int t : thread_counts) {
+      util::set_threads(t);
+      const double tt = best_seconds(reps, hc.run);
+      const std::string shape =
+          std::to_string(hc.m) + "x" + std::to_string(hc.n);
+      thh.add_row({hc.kernel, shape, std::to_string(t),
+                   util::Table::fmt(tt, 5),
+                   util::Table::fmt(gflops(hc.flops, tt), 2)});
+      jhh.push(util::Json::object()
+                   .set("kernel", hc.kernel)
+                   .set("m", static_cast<long>(hc.m))
+                   .set("n", static_cast<long>(hc.n))
+                   .set("threads", static_cast<long>(t))
+                   .set("seconds", tt)
+                   .set("gflops", gflops(hc.flops, tt)));
+    }
+  }
+  util::set_threads(entry_threads);
+  thh.print(std::cout, "Householder kernels at the fit's shapes (best of " +
+                           std::to_string(reps) + ", ID rank " +
+                           std::to_string(id_rank) + ")");
+
   doc.set("gemm_nn", std::move(jgemm));
   doc.set("gemm_nt", std::move(jgemm_nt));
   doc.set("cholesky", std::move(jchol));
@@ -348,6 +420,7 @@ int main(int argc, char** argv) {
   doc.set("gemm_threads", std::move(jgemm_mt));
   doc.set("lu", std::move(jlu));
   doc.set("qr", std::move(jqr));
+  doc.set("householder", std::move(jhh));
   const bool json_ok = bench::write_json_if_requested(c, doc);
 
   std::cout << "shape to check: gemm_nn speedup >= 3x at n >= 512 (the\n"

@@ -46,8 +46,9 @@ int main(int argc, char** argv) {
   util::Json rows_json = util::Json::array();
 
   util::Table table({"n", "order (s)", "H build (s)", "compress (s)",
-                     "factor (s)", "solve (s)", "score (s)", "fit (s)", "acc",
-                     "evals/n^2", "rank", "mem (MB)", "peak RSS (MB)"});
+                     "sampling (s)", "local (s)", "factor (s)", "solve (s)",
+                     "score (s)", "fit (s)", "acc", "evals/n^2", "rank",
+                     "mem (MB)", "peak RSS (MB)"});
   for (const int n : sizes) {
     bench::PreparedData d = bench::prepare(c.dataset, n, ntest, c.seed);
 
@@ -70,6 +71,8 @@ int main(int argc, char** argv) {
         {util::Table::fmt_int(n), util::Table::fmt(r.order_seconds, 2),
          util::Table::fmt(r.h_construction_seconds, 2),
          util::Table::fmt(r.compress_seconds, 2),
+         util::Table::fmt(r.sampling_seconds, 2),
+         util::Table::fmt(r.local_seconds, 2),
          util::Table::fmt(r.factor_seconds, 2),
          util::Table::fmt(r.solve_seconds, 2),
          util::Table::fmt(r.score_seconds, 2),

@@ -2,6 +2,12 @@
 // Householder orthogonal factorizations: QR, and the QL / LQ variants the
 // ULV factorization needs (QL introduces zeros at the *top* of the U basis,
 // LQ triangularizes eliminated rows from the left).
+//
+// Every reflector is applied to a row-major block one whole row at a time,
+// with the same per-element operations in the same order as the classic
+// column-by-column loop, so the factors are those loops' bits.  Q is formed
+// only on request (q_thin / q_full), and only for the columns a reflector
+// can change.
 
 #include <vector>
 
@@ -28,13 +34,10 @@ class QRFactor {
   /// Full Q: m x m orthogonal.
   Matrix q_full() const;
 
-  /// B <- Q^T B (B has m rows).
-  void apply_qt(Matrix& b) const;
-
-  /// B <- Q B (B has m rows).
-  void apply_q(Matrix& b) const;
-
  private:
+  /// First `ncols` columns of Q = H_0 H_1 ... H_{k-1}.
+  Matrix form_q(int ncols) const;
+
   Matrix a_;                 // Householder vectors below diagonal; R on/above.
   std::vector<double> tau_;  // reflector coefficients
 };
@@ -59,5 +62,22 @@ LQResult lq(const Matrix& a);
 
 /// Orthonormality defect || Q^T Q - I ||_F, for tests.
 double orthogonality_error(const Matrix& q);
+
+namespace detail {
+
+/// 2-norm of a(i0:m, j), squares summed in ascending row order.
+double column_norm(const Matrix& a, int j, int i0);
+
+/// Turns column j of `a` (rows j..m-1, 2-norm `norm` > 0) into the
+/// reflector H = I - tau v v^T, v(0) = 1, that maps it to (beta, 0, ...):
+/// stores beta in a(j, j) and v(1:) below it, and returns tau.
+double make_reflector(Matrix& a, int j, double norm);
+
+/// Applies reflector j of `a` (tau, and v below a(j, j)) to columns
+/// j+1..n-1 of rows j..m-1 of `a` itself, one column panel at a time, on
+/// the calling thread.
+void reflect_trailing(Matrix& a, int j, double tau);
+
+}  // namespace detail
 
 }  // namespace khss::la

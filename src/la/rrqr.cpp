@@ -5,6 +5,7 @@
 #include <numeric>
 
 #include "la/blas.hpp"
+#include "la/qr.hpp"
 
 namespace khss::la {
 
@@ -17,17 +18,15 @@ RRQRResult rrqr(const Matrix& a_in, const TruncationOptions& opts) {
 
   std::vector<int> jpvt(n);
   std::iota(jpvt.begin(), jpvt.end(), 0);
-  std::vector<double> tau;
-  tau.reserve(kmax);
-
   // Squared column norms, downdated as the factorization proceeds; norms are
   // recomputed from scratch when cancellation makes the downdate unreliable.
-  std::vector<double> colnorm2(n), colnorm2_ref(n);
-  for (int j = 0; j < n; ++j) {
-    double s = 0.0;
-    for (int i = 0; i < m; ++i) s += a(i, j) * a(i, j);
-    colnorm2[j] = colnorm2_ref[j] = s;
+  // The sums run over rows in ascending order, one whole row at a time.
+  std::vector<double> colnorm2(n, 0.0);
+  for (int i = 0; i < m; ++i) {
+    const double* ai = a.row(i);
+    for (int j = 0; j < n; ++j) colnorm2[j] += ai[j] * ai[j];
   }
+  std::vector<double> colnorm2_ref = colnorm2;
 
   double first_pivot = 0.0;
   int k = 0;
@@ -45,29 +44,14 @@ RRQRResult rrqr(const Matrix& a_in, const TruncationOptions& opts) {
     }
 
     // Householder on column k, rows k..m-1.
-    double norm = 0.0;
-    for (int i = k; i < m; ++i) norm += a(i, k) * a(i, k);
-    norm = std::sqrt(norm);
+    const double norm = detail::column_norm(a, k, k);
 
     if (k == 0) first_pivot = norm;
     const double threshold =
         std::max(opts.atol, opts.rtol * first_pivot);
     if (norm <= threshold) break;
 
-    const double alpha = a(k, k) >= 0 ? -norm : norm;
-    const double v0 = a(k, k) - alpha;
-    for (int i = k + 1; i < m; ++i) a(i, k) /= v0;
-    const double t = -v0 / alpha;
-    tau.push_back(t);
-    a(k, k) = alpha;
-
-    for (int c = k + 1; c < n; ++c) {
-      double s = a(k, c);
-      for (int i = k + 1; i < m; ++i) s += a(i, k) * a(i, c);
-      s *= t;
-      a(k, c) -= s;
-      for (int i = k + 1; i < m; ++i) a(i, c) -= s * a(i, k);
-    }
+    detail::reflect_trailing(a, k, detail::make_reflector(a, k, norm));
 
     // Downdate column norms; recompute when the running value has lost most
     // of its magnitude relative to the reference (LAPACK xGEQP3 heuristic).
@@ -88,21 +72,6 @@ RRQRResult rrqr(const Matrix& a_in, const TruncationOptions& opts) {
   RRQRResult out;
   out.rank = k;
   out.jpvt = std::move(jpvt);
-
-  // Explicit thin Q (m x k): apply stored reflectors to the identity.
-  out.q = Matrix(m, k);
-  for (int i = 0; i < k; ++i) out.q(i, i) = 1.0;
-  for (int j = k - 1; j >= 0; --j) {
-    const double t = tau[j];
-    if (t == 0.0) continue;
-    for (int c = 0; c < k; ++c) {
-      double s = out.q(j, c);
-      for (int i = j + 1; i < m; ++i) s += a(i, j) * out.q(i, c);
-      s *= t;
-      out.q(j, c) -= s;
-      for (int i = j + 1; i < m; ++i) out.q(i, c) -= s * a(i, j);
-    }
-  }
 
   // R in pivoted column order (k x n).
   out.r = Matrix(k, n);

@@ -15,11 +15,11 @@
 namespace khss::la {
 
 /// Result of a truncated column-pivoted QR of an m x n matrix:
-///   A P = Q R, truncated at numerical rank k.
+///   A P = Q R, truncated at numerical rank k.  Q is not formed: the ID
+/// needs only R.
 struct RRQRResult {
   int rank = 0;
   std::vector<int> jpvt;  // column permutation; first `rank` are the pivots
-  Matrix q;               // m x rank, orthonormal columns
   Matrix r;               // rank x n, rows of R in pivoted order
 };
 

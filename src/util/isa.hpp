@@ -1,6 +1,7 @@
 #pragma once
 // ISA tiers shared by the hand-vectorized kernels (the packed GEMM core in
-// la/gemm_kernel.cpp and the kernel-tile transform in kernel/kernel_tile.cpp).
+// la/gemm_kernel.cpp, the kernel-tile transform in kernel/kernel_tile.cpp
+// and the Householder sweeps in la/qr.cpp).
 //
 // Each vectorized variant is an ordinary function carrying a target
 // attribute, so the library itself builds for the baseline ISA and the
@@ -18,6 +19,10 @@
 #define KHSS_ISA_MULTIVERSION 1
 #define KHSS_TGT_AVX2 __attribute__((target("avx2,fma")))
 #define KHSS_TGT_AVX512 __attribute__((target("avx512f,avx512vl,avx512dq")))
+// AVX2 without FMA, for kernels that must compute the baseline ISA's bits:
+// in C++ GCC contracts a * b + c into an FMA by default wherever the target
+// has one, so this target leaves it out.
+#define KHSS_TGT_AVX2_NOFMA __attribute__((target("avx2")))
 #endif
 
 namespace khss::util {
