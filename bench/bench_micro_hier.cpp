@@ -8,11 +8,11 @@
 // factorization/solve, HODLR/SMW factorization/solve — at one thread (the
 // serial baseline) and at every hardware thread, and reports the speedups
 // plus the per-phase split (elimination sweep vs root LU, forward vs
-// backward solve).  A second table pits the OpenMP task-DAG schedule (the
-// default for ULV factor and HSS matmat) against the retained
-// level-synchronous sweep at max threads.  With --json the numbers go to a
-// cross-PR perf trajectory (BENCH_hier.json, committed snapshot at the repo
-// root); CI runs this on a small fixed size and uploads the artifact.
+// backward solve).  A second table times the ULV factor's task-DAG schedule
+// (its default) against the level sweep at max threads: median, quartiles
+// and DAG wins over --reps alternating runs.  With --json the numbers go to
+// a cross-PR perf trajectory (BENCH_hier.json, committed snapshot at the
+// repo root); CI runs this on a small fixed size and uploads the artifact.
 //
 // Solutions are bit-identical across thread counts and RHS splits by
 // construction (pinned in tests/test_determinism.cpp), so the two columns
@@ -21,6 +21,7 @@
 #include <algorithm>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -112,6 +113,20 @@ util::Json pair_json(int n, const Pair& p) {
       .set("speedup", p.speedup());
 }
 
+// Median and quartiles (nearest rank; the lower middle value for an even
+// count) of one engine's run times, as JSON and as a "median (q1-q3)" cell.
+std::pair<util::Json, std::string> spread(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t last = v.size() - 1;
+  const double q1 = v[last / 4], median = v[last / 2], q3 = v[3 * last / 4];
+  return {util::Json::object()
+              .set("median_seconds", median)
+              .set("q1_seconds", q1)
+              .set("q3_seconds", q3),
+          util::Table::fmt(median, 4) + " (" + util::Table::fmt(q1, 4) + "-" +
+              util::Table::fmt(q3, 4) + ")"};
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -145,12 +160,11 @@ int main(int argc, char** argv) {
   util::Json jsmw_factor = util::Json::array();
   util::Json jsmw_solve = util::Json::array();
   util::Json jfactor_sched = util::Json::array();
-  util::Json jmatmat_sched = util::Json::array();
 
   util::Table tg({"kernel", "n", "t=1 s", "t=" + std::to_string(maxthreads) +
                   " s", "speedup"});
-  util::Table tsched(
-      {"kernel", "n", "level-sweep s", "task-dag s", "speedup"});
+  util::Table tsched({"n", "level-sweep s (q1-q3)", "task-dag s (q1-q3)",
+                      "dag wins"});
   auto add_row = [&](const std::string& name, int n, const Pair& p) {
     tg.add_row({name, std::to_string(n), util::Table::fmt(p.serial, 4),
                 util::Table::fmt(p.parallel, 4),
@@ -209,46 +223,31 @@ int main(int argc, char** argv) {
                             phase_run.stats().factor_root_seconds));
     }
 
-    // Task-DAG schedule (the default above) against the retained
-    // level-synchronous sweep, both at max threads — this row isolates what
-    // the depend-clause DAG buys over level barriers.  Bit-identical results
-    // (pinned in tests/test_ulv.cpp / test_determinism.cpp), same arithmetic.
+    // Task-DAG factor schedule (the default above) against the retained
+    // level sweep at max threads, alternated so a slow spell on a shared host
+    // hits both sides.  Same bits (pinned in tests/test_ulv.cpp).
     util::set_threads(maxthreads);
-    const double fac_sweep = best_seconds(reps, [&] {
-      hss::ULVFactorization u(hssm, hss::ULVSchedule::kLevelSweep);
-      (void)u;
-    });
-    const double fac_dag = best_seconds(reps, [&] {
-      hss::ULVFactorization u(hssm, hss::ULVSchedule::kTaskDag);
-      (void)u;
-    });
-    tsched.add_row({"ulv_factor", std::to_string(n),
-                    util::Table::fmt(fac_sweep, 4),
-                    util::Table::fmt(fac_dag, 4),
-                    util::Table::fmt(
-                        fac_dag > 0.0 ? fac_sweep / fac_dag : 0.0, 2)});
-    jfactor_sched.push(
-        util::Json::object()
-            .set("n", static_cast<long>(n))
-            .set("level_sweep_seconds", fac_sweep)
-            .set("task_dag_seconds", fac_dag)
-            .set("speedup", fac_dag > 0.0 ? fac_sweep / fac_dag : 0.0));
-    const double mm_sweep = best_seconds(reps, [&] {
-      la::Matrix y = hssm.matmat(xm, hss::SweepSchedule::kLevelSweep);
-    });
-    const double mm_dag = best_seconds(reps, [&] {
-      la::Matrix y = hssm.matmat(xm, hss::SweepSchedule::kTaskDag);
-    });
-    tsched.add_row({"hss_matmat_" + std::to_string(nrhs), std::to_string(n),
-                    util::Table::fmt(mm_sweep, 4), util::Table::fmt(mm_dag, 4),
-                    util::Table::fmt(mm_dag > 0.0 ? mm_sweep / mm_dag : 0.0,
-                                     2)});
-    jmatmat_sched.push(
-        util::Json::object()
-            .set("n", static_cast<long>(n))
-            .set("level_sweep_seconds", mm_sweep)
-            .set("task_dag_seconds", mm_dag)
-            .set("speedup", mm_dag > 0.0 ? mm_sweep / mm_dag : 0.0));
+    const hss::ULVSchedule schedules[] = {hss::ULVSchedule::kLevelSweep,
+                                          hss::ULVSchedule::kTaskDag};
+    std::vector<double> runs[2];  // seconds per run: level sweep, task DAG
+    for (int r = -1; r < reps; ++r) {  // r = -1: the untimed pair
+      for (int e = 0; e < 2; ++e) {
+        util::Timer t;
+        hss::ULVFactorization u(hssm, schedules[e]);
+        if (r >= 0) runs[e].push_back(t.seconds());
+      }
+    }
+    int dag_wins = 0;
+    for (int r = 0; r < reps; ++r) dag_wins += runs[1][r] < runs[0][r];
+    const auto [sweep_json, sweep_cell] = spread(runs[0]);
+    const auto [dag_json, dag_cell] = spread(runs[1]);
+    tsched.add_row({std::to_string(n), sweep_cell, dag_cell,
+                    std::to_string(dag_wins) + "/" + std::to_string(reps)});
+    jfactor_sched.push(util::Json::object()
+                           .set("n", static_cast<long>(n))
+                           .set("level_sweep", sweep_json)
+                           .set("task_dag", dag_json)
+                           .set("task_dag_wins", static_cast<long>(dag_wins)));
 
     // Level-parallel solve: single RHS and the multi-RHS block (the
     // one-vs-all shape), routed through the packed gemm core.
@@ -306,7 +305,7 @@ int main(int argc, char** argv) {
   tg.print(std::cout, "hierarchical tier, 1 thread vs " +
                           std::to_string(maxthreads) + " (best of " +
                           std::to_string(reps) + ")");
-  tsched.print(std::cout, "task-DAG vs level-sweep schedule at " +
+  tsched.print(std::cout, "ULV factor schedule at " +
                               std::to_string(maxthreads) + " threads");
 
   doc.set("hss_build", std::move(jbuild));
@@ -317,7 +316,6 @@ int main(int argc, char** argv) {
   doc.set("ulv_solve_multi", std::move(jsolvek));
   doc.set("ulv_factor_solve", std::move(jcombined));
   doc.set("ulv_factor_schedule", std::move(jfactor_sched));
-  doc.set("hss_matmat_schedule", std::move(jmatmat_sched));
   doc.set("smw_factor", std::move(jsmw_factor));
   doc.set("smw_solve", std::move(jsmw_solve));
   const bool json_ok = bench::write_json_if_requested(c, doc);

@@ -52,7 +52,8 @@ struct ScaleRunResult {
   int max_rank = 0;
 
   double fit_seconds() const {
-    return order_seconds + compress_seconds + factor_seconds + solve_seconds;
+    return order_seconds + h_construction_seconds + compress_seconds +
+           factor_seconds + solve_seconds;
   }
 };
 

@@ -100,13 +100,4 @@ void annotate_geometry(std::vector<ClusterNode>& nodes,
 la::Matrix apply_row_permutation(const la::Matrix& points,
                                  const std::vector<int>& perm);
 
-/// Apply to a label/vector: out[i] = in[perm[i]].
-template <typename T>
-std::vector<T> apply_permutation(const std::vector<T>& v,
-                                 const std::vector<int>& perm) {
-  std::vector<T> out(perm.size());
-  for (std::size_t i = 0; i < perm.size(); ++i) out[i] = v[perm[i]];
-  return out;
-}
-
 }  // namespace khss::cluster

@@ -1,7 +1,5 @@
 #include "data/synthetic.hpp"
 
-#include <cassert>
-#include <cmath>
 #include <stdexcept>
 
 #include "la/blas.hpp"
@@ -77,49 +75,6 @@ Dataset make_blobs(const BlobSpec& spec, util::Rng& rng) {
       double* row = out.points.row(i);
       for (int j = 0; j < spec.dim; ++j) row[j] += rng.normal(0.0, 0.01);
     }
-  }
-  return out;
-}
-
-Dataset make_uniform_hyperplane(int n, int dim, util::Rng& rng) {
-  Dataset out;
-  out.name = "uniform";
-  out.num_classes = 2;
-  out.points = la::Matrix(n, dim);
-  out.labels.resize(n);
-
-  std::vector<double> w(dim);
-  for (auto& v : w) v = rng.normal();
-
-  for (int i = 0; i < n; ++i) {
-    double* row = out.points.row(i);
-    double s = 0.0;
-    for (int j = 0; j < dim; ++j) {
-      row[j] = rng.uniform(-1.0, 1.0);
-      s += row[j] * w[j];
-    }
-    out.labels[i] = s >= 0 ? 1 : 0;
-  }
-  return out;
-}
-
-Dataset make_curve(int n, int dim, double noise, util::Rng& rng) {
-  assert(dim >= 1);
-  Dataset out;
-  out.name = "curve";
-  out.num_classes = 2;
-  out.points = la::Matrix(n, dim);
-  out.labels.resize(n);
-
-  for (int i = 0; i < n; ++i) {
-    const double t = rng.uniform(0.0, 4.0 * M_PI);
-    double* row = out.points.row(i);
-    for (int j = 0; j < dim; ++j) {
-      // Smooth harmonics of the curve parameter + noise.
-      row[j] = std::sin((j / 2 + 1) * t + (j % 2) * M_PI / 2) +
-               rng.normal(0.0, noise);
-    }
-    out.labels[i] = std::sin(t) >= 0 ? 1 : 0;
   }
   return out;
 }

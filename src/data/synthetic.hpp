@@ -39,12 +39,4 @@ struct BlobSpec {
 /// Generate a labeled Gaussian-mixture dataset per the spec.
 Dataset make_blobs(const BlobSpec& spec, util::Rng& rng);
 
-/// Uniform points in [-1, 1]^d, binary labels by a random hyperplane; a
-/// structureless control where clustering-based reordering should help least.
-Dataset make_uniform_hyperplane(int n, int dim, util::Rng& rng);
-
-/// Points on a noisy 1-D curve embedded in `dim` dimensions; maximally
-/// cluster-friendly control (strong locality).
-Dataset make_curve(int n, int dim, double noise, util::Rng& rng);
-
 }  // namespace khss::data

@@ -51,14 +51,6 @@ struct HSSStats {
   double sampling_seconds = 0.0;  // portion spent in A*R products
 };
 
-/// Parallel schedule of the matmat up/down sweeps.  Both engines produce
-/// bit-identical results (the per-node work is a fixed serial sequence;
-/// only the order independent nodes run in differs).
-enum class SweepSchedule {
-  kLevelSweep,  // barrier per tree depth (legacy engine)
-  kTaskDag,     // omp task depend across the up -> down -> leaf chain
-};
-
 class HSSMatrix {
  public:
   HSSMatrix() = default;
@@ -75,14 +67,13 @@ class HSSMatrix {
   /// y = A_hss * x  (up-down sweep; O(r n)).
   la::Vector matvec(const la::Vector& x) const;
 
-  /// Y = A_hss * X for multiple vectors.
-  la::Matrix matmat(const la::Matrix& x) const {
-    return matmat(x, SweepSchedule::kTaskDag);
-  }
+  /// Y = A_hss * X for multiple vectors (level-parallel up/down sweeps).
+  la::Matrix matmat(const la::Matrix& x) const;
 
-  /// Y = A_hss * X with an explicit sweep schedule (bit-identical results;
-  /// benches and determinism pins compare the two engines).
-  la::Matrix matmat(const la::Matrix& x, SweepSchedule schedule) const;
+  /// Node ids grouped by tree depth, deepest level first
+  /// (cluster::levels_bottom_up): the schedule of the level-parallel
+  /// matmat and ULV sweeps.  levels().size() is the tree depth.
+  const std::vector<std::vector<int>>& levels() const { return levels_; }
 
   /// Add delta to every diagonal entry (leaf D blocks): the O(n) lambda
   /// update of Section 5.3 — no recompression needed.
@@ -112,8 +103,7 @@ class HSSMatrix {
   std::vector<HSSNode> nodes_;
   std::vector<int> postorder_;
   /// cluster::levels_bottom_up over nodes_, computed once at construction
-  /// (the tree structure is fixed for the matrix's lifetime); the schedule
-  /// of the level-parallel matvec/matmat sweeps.
+  /// (the tree structure is fixed for the matrix's lifetime).
   std::vector<std::vector<int>> levels_;
   int n_ = 0;
 };

@@ -13,8 +13,7 @@ namespace khss::hss {
 ULVFactorization::ULVFactorization(const HSSMatrix& hss, ULVSchedule schedule)
     : hss_(hss), schedule_(schedule) {
   nf_.resize(hss_.nodes().size());
-  levels_ = cluster::levels_bottom_up(hss_.nodes());
-  stats_.levels = static_cast<int>(levels_.size());
+  stats_.levels = static_cast<int>(hss_.levels().size());
   factor();
 }
 
@@ -31,8 +30,7 @@ ULVFactorization::ULVFactorization(const HSSMatrix& hss,
                    << hss_.nodes().size() << " nodes");
   KHSS_REQUIRE(root_lu_ != nullptr || nf_.empty(),
                "ULVFactorization restore: missing root LU factor");
-  levels_ = cluster::levels_bottom_up(hss_.nodes());
-  stats_.levels = static_cast<int>(levels_.size());
+  stats_.levels = static_cast<int>(hss_.levels().size());
 }
 
 void ULVFactorization::assemble_node(int id, la::Matrix& d, la::Matrix& u,
@@ -123,7 +121,7 @@ void ULVFactorization::eliminate_node(int id, la::Matrix d, la::Matrix u,
 // count or schedule.
 void ULVFactorization::factor_tree_level_sweep() {
   const int root = hss_.root();
-  for (const auto& level : levels_) {
+  for (const auto& level : hss_.levels()) {
     // if-clause: a singleton level gains nothing from the outer fan-out and
     // would pin its node's inner gemm/trsm parallelism to a nested team.
 #pragma omp parallel for schedule(dynamic) if (level.size() > 1)
@@ -305,7 +303,8 @@ la::Matrix ULVFactorization::solve(const la::Matrix& b) const {
       bkept[id] = std::move(bk);
       omega_acc[id] = std::move(w_init);
   };
-  for (const auto& level : levels_) {
+  const auto& levels = hss_.levels();
+  for (const auto& level : levels) {
     // Depth 0 holds only the root: run it outside any parallel region so
     // the dense root LU's blocked TRSMs keep their internal parallelism
     // (a one-iteration parallel for would pin them to a nested team of 1).
@@ -319,14 +318,14 @@ la::Matrix ULVFactorization::solve(const la::Matrix& b) const {
   const double forward_seconds = total.seconds();
 
   // Backward pass: distribute kept unknowns down the tree, un-rotating.
-  // Top-down level sweep (reverse of levels_): a node reads the xkept slot
+  // Top-down level sweep (reverse of levels): a node reads the xkept slot
   // its parent wrote one level earlier and writes its children's slots (or
   // its own rows of x) — again pairwise independent within a level.
   util::Timer backward;
   la::Matrix x(hss_.n(), s);
   std::vector<la::Matrix> xkept(nodes.size());
   xkept[root] = std::move(xroot);
-  for (auto lit = levels_.rbegin(); lit != levels_.rend(); ++lit) {
+  for (auto lit = levels.rbegin(); lit != levels.rend(); ++lit) {
     const auto& level = *lit;
 #pragma omp parallel for schedule(dynamic) if (level.size() > 1)
     for (std::size_t t = 0; t < level.size(); ++t) {

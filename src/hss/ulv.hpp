@@ -24,7 +24,7 @@
 // `task depend` edges from the children's elimination to the parent's
 // assembly, so a parent starts the moment its own subtree is done instead
 // of waiting for the slowest node of each depth.  The level-synchronous
-// sweep over cluster::levels_bottom_up is kept as a selectable engine
+// sweep over HSSMatrix::levels() is kept as a selectable engine
 // (ULVSchedule::kLevelSweep) and remains the shape of both solve phases.
 // Either way the work done at a node is a fixed serial computation, which
 // makes factorization and solve bit-identical for every thread count and
@@ -135,9 +135,6 @@ class ULVFactorization {
   ULVSchedule schedule_;
   std::vector<NodeFactor> nf_;
   std::unique_ptr<la::LUFactor> root_lu_;
-  /// Node ids grouped by depth, deepest first — the level-synchronous
-  /// schedule shared by factor() and both solve sweeps.
-  std::vector<std::vector<int>> levels_;
   /// Guards stats_ against concurrent const solves (TSan-found race: the
   /// solve timing fields were plain writes from a const member function).
   mutable std::mutex stats_mutex_;

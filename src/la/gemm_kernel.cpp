@@ -140,7 +140,6 @@ struct KernelOps {
   PackAFn pack_a;
   PackBFn pack_b;
   MacroFn macro;
-  bool vectorized;  // AVX2 tier or better
 };
 
 #define KHSS_KOPS(SUF, MR_, NR_, TGT)                                        \
@@ -253,20 +252,15 @@ KHSS_KOPS_ZMM(avx512_6x16, 6)
 
 #undef KHSS_KOPS
 
-const KernelOps kOpsGeneric{"generic-4x8", 4,      8,
-                            pack_a_generic, pack_b_generic, macro_generic,
-                            false};
+const KernelOps kOpsGeneric{"generic-4x8", 4, 8, pack_a_generic,
+                            pack_b_generic, macro_generic};
 #if defined(KHSS_ISA_MULTIVERSION)
 const KernelOps kOpsAvx2{"avx2-4x8", 4, 8, pack_a_avx2, pack_b_avx2,
-                         macro_avx2, true};
-const KernelOps kOpsAvx512_8x16{"avx512-8x16",     8,
-                                16,                pack_a_avx512_8x16,
-                                pack_b_avx512_8x16, macro_avx512_8x16,
-                                true};
-const KernelOps kOpsAvx512_6x16{"avx512-6x16",     6,
-                                16,                pack_a_avx512_6x16,
-                                pack_b_avx512_6x16, macro_avx512_6x16,
-                                true};
+                         macro_avx2};
+const KernelOps kOpsAvx512_8x16{"avx512-8x16", 8, 16, pack_a_avx512_8x16,
+                                pack_b_avx512_8x16, macro_avx512_8x16};
+const KernelOps kOpsAvx512_6x16{"avx512-6x16", 6, 16, pack_a_avx512_6x16,
+                                pack_b_avx512_6x16, macro_avx512_6x16};
 #endif
 
 // Supported variants, best first; [0] is the startup default.
@@ -528,12 +522,6 @@ void gemm_packed_with(const std::string& kernel, const GemmBlocking& blk,
 }
 
 const char* gemm_kernel_name() { return active().ops->name; }
-
-int gemm_kernel_mr() { return active().ops->mr; }
-
-int gemm_kernel_nr() { return active().ops->nr; }
-
-bool gemm_kernel_is_avx2() { return active().ops->vectorized; }
 
 std::vector<std::string> supported_gemm_kernels() {
   std::vector<std::string> names;

@@ -100,14 +100,6 @@ void gemm_packed_with(const std::string& kernel, const GemmBlocking& blk,
 /// "avx2-4x8" or "generic-4x8".
 const char* gemm_kernel_name();
 
-/// Register tile of the active kernel variant.
-int gemm_kernel_mr();
-int gemm_kernel_nr();
-
-/// True when a vectorized (AVX2 or better) variant was selected (reporting
-/// aid for the perf harness; the generic kernel is used otherwise).
-bool gemm_kernel_is_avx2();
-
 /// Kernel variant names this host can run, best first (autotuner domain).
 std::vector<std::string> supported_gemm_kernels();
 

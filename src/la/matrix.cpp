@@ -124,6 +124,4 @@ void Matrix::shift_diagonal(double alpha) {
   for (int i = 0; i < n; ++i) (*this)(i, i) += alpha;
 }
 
-Vector zeros_vec(int n) { return Vector(static_cast<std::size_t>(n), 0.0); }
-
 }  // namespace khss::la

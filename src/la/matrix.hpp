@@ -101,10 +101,7 @@ class Matrix {
   std::vector<double> data_;
 };
 
-/// A vector is a plain std::vector<double>; these helpers keep call sites
-/// readable.
+/// A vector is a plain std::vector<double>.
 using Vector = std::vector<double>;
-
-Vector zeros_vec(int n);
 
 }  // namespace khss::la

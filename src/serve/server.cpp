@@ -217,15 +217,6 @@ std::vector<std::pair<std::string, ServeModelStats>> ModelServer::stats()
   return out;
 }
 
-std::vector<std::string> ModelServer::model_names() const {
-  std::vector<std::string> out;
-  for (const auto& [name, model] : impl_->models) {
-    (void)model;
-    out.push_back(name);
-  }
-  return out;
-}
-
 void ModelServer::accept_loop() {
   while (true) {
     const int fd = ::accept(impl_->listen_fd, nullptr, nullptr);

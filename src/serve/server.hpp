@@ -97,9 +97,6 @@ class ModelServer {
   /// Snapshot of the per-model serving counters, sorted by model name.
   std::vector<std::pair<std::string, ServeModelStats>> stats() const;
 
-  /// Names of the loaded models, sorted.
-  std::vector<std::string> model_names() const;
-
  private:
   struct Model;
   struct ScoreJob;

@@ -28,9 +28,6 @@ class Json {
   static Json object();
   static Json array();
 
-  bool is_object() const { return type_ == Type::kObject; }
-  bool is_array() const { return type_ == Type::kArray; }
-
   /// Object member (insertion-ordered; last set of a repeated key wins).
   Json& set(const std::string& key, Json value);
 

@@ -34,8 +34,6 @@ std::size_t proc_status_kb(const char* key) {
 
 }  // namespace
 
-std::size_t current_rss_bytes() { return proc_status_kb("VmRSS") * 1024; }
-
 std::size_t peak_rss_bytes() {
   if (const std::size_t kb = proc_status_kb("VmHWM")) return kb * 1024;
 #if defined(__unix__) || defined(__APPLE__)

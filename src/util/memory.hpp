@@ -8,9 +8,6 @@
 
 namespace khss::util {
 
-/// Current resident set size in bytes (VmRSS).  0 if unavailable.
-std::size_t current_rss_bytes();
-
 /// Peak resident set size in bytes since process start (VmHWM, falling back
 /// to getrusage's ru_maxrss).  0 if unavailable.
 std::size_t peak_rss_bytes();

@@ -1,5 +1,5 @@
-// Edge-case and small-module coverage: logging, formatter corners, RNG
-// boundary arguments, kernel tile boundaries, tiny-input behaviour of the
+// Edge-case and small-module coverage: formatter corners, RNG boundary
+// arguments, kernel tile boundaries, tiny-input behaviour of the
 // compression stack, and the corners of the batched serving path
 // (predict::BatchPredictor::predict_batch).
 #include <gtest/gtest.h>
@@ -16,7 +16,6 @@
 #include "kernel/kernel.hpp"
 #include "la/blas.hpp"
 #include "predict/batch_predictor.hpp"
-#include "util/logging.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 
@@ -25,20 +24,6 @@ namespace hs = khss::hss;
 namespace kn = khss::kernel;
 namespace la = khss::la;
 namespace u = khss::util;
-
-TEST(Logging, LevelFiltering) {
-  const u::LogLevel before = u::log_level();
-  u::set_log_level(u::LogLevel::kError);
-  EXPECT_EQ(u::log_level(), u::LogLevel::kError);
-  // These must not crash regardless of level (output goes to stderr).
-  u::log_error("e", 1);
-  u::log_warn("w", 2.5);
-  u::log_info("i");
-  u::log_debug("d");
-  u::set_log_level(u::LogLevel::kDebug);
-  u::log_debug("visible now ", 42);
-  u::set_log_level(before);
-}
 
 TEST(TableFmt, ScientificAndPrecision) {
   EXPECT_EQ(u::Table::fmt_sci(12345.678, 2), "1.23e+04");

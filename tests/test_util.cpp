@@ -156,17 +156,6 @@ TEST(Timer, MeasuresElapsed) {
   (void)sink;
 }
 
-TEST(PhaseTimings, Accumulates) {
-  u::PhaseTimings pt;
-  pt.add("factor", 1.0);
-  pt.add("factor", 0.5);
-  pt.add("solve", 0.25);
-  EXPECT_DOUBLE_EQ(pt.get("factor"), 1.5);
-  EXPECT_DOUBLE_EQ(pt.get("solve"), 0.25);
-  EXPECT_DOUBLE_EQ(pt.get("missing"), 0.0);
-  EXPECT_EQ(pt.all().size(), 2u);
-}
-
 TEST(Json, ScalarsAndNesting) {
   u::Json doc = u::Json::object();
   doc.set("name", "bench_micro_la");
