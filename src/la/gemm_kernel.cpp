@@ -1,10 +1,8 @@
 #include "la/gemm_kernel.hpp"
 
-#include <algorithm>
 #include <cstddef>
 #include <vector>
 
-#include "la/gemm_tune.hpp"
 #include "util/isa.hpp"
 #include "util/threads.hpp"
 
@@ -14,9 +12,9 @@ namespace {
 
 // ---------------------------------------------------------------------------
 // Register-tile templates.  MR/NR are compile-time properties of a kernel
-// variant; the cache blocking (kc/mc/nc) is runtime.  Everything below is
-// force-inlined into the ISA-attributed wrappers at the bottom so each
-// variant auto-vectorizes for its target without intrinsics.
+// variant.  Everything below is force-inlined into the ISA-attributed
+// wrappers further down so each variant auto-vectorizes for its target
+// without intrinsics.
 // ---------------------------------------------------------------------------
 
 // Pack an mc x kc block of alpha*op(A) into MR-row panels: panel ir holds
@@ -125,7 +123,9 @@ KHSS_ALWAYS_INLINE void macro_kernel_t(int mc, int nc, int kc,
 // inlined template bodies auto-vectorize for that ISA; the driver calls
 // through a function-pointer table resolved once at startup, keeping all
 // OpenMP orchestration out of target-attributed code (outlined parallel
-// regions do not reliably inherit target attributes).
+// regions do not reliably inherit target attributes).  Every function that
+// holds a hot loop starts on a 64-byte boundary (KHSS_ALIGN_HOT), so where
+// an unrelated edit moves it cannot change its speed.
 // ---------------------------------------------------------------------------
 
 using PackAFn = void (*)(int, int, double, const double*, int, bool, double*);
@@ -143,16 +143,18 @@ struct KernelOps {
 };
 
 #define KHSS_KOPS(SUF, MR_, NR_, TGT)                                        \
-  TGT void pack_a_##SUF(int mc, int kc, double alpha, const double* a,       \
-                        int lda, bool ta, double* ap) {                      \
+  TGT KHSS_ALIGN_HOT void pack_a_##SUF(int mc, int kc, double alpha,         \
+                                       const double* a, int lda, bool ta,    \
+                                       double* ap) {                         \
     pack_a_t<MR_>(mc, kc, alpha, a, lda, ta, ap);                            \
   }                                                                          \
-  TGT void pack_b_##SUF(int kc, int nc, const double* b, int ldb, bool tb,   \
-                        double* bp) {                                        \
+  TGT KHSS_ALIGN_HOT void pack_b_##SUF(int kc, int nc, const double* b,      \
+                                       int ldb, bool tb, double* bp) {       \
     pack_b_t<NR_>(kc, nc, b, ldb, tb, bp);                                   \
   }                                                                          \
-  TGT void macro_##SUF(int mc, int nc, int kc, const double* ap,             \
-                       const double* bp, double* c, int ldc) {               \
+  TGT KHSS_ALIGN_HOT void macro_##SUF(int mc, int nc, int kc,                \
+                                      const double* ap, const double* bp,    \
+                                      double* c, int ldc) {                  \
     macro_kernel_t<MR_, NR_>(mc, nc, kc, ap, bp, c, ldc);                    \
   }
 
@@ -161,10 +163,10 @@ KHSS_KOPS(generic, 4, 8, )
 #if defined(KHSS_ISA_MULTIVERSION)
 KHSS_KOPS(avx2, 4, 8, KHSS_TGT_AVX2)
 
-// Explicit zmm microkernel for the AVX-512 variants.  GCC's autovectorizer
+// Explicit zmm microkernel for the AVX-512 variant.  GCC's autovectorizer
 // turns the scalar MRxNR template into an outer-loop SLP form that drags a
 // vpermt2pd shuffle network through every k-step (~13x slower than the AVX2
-// tile on the same host), so these tiles are written with intrinsics: two
+// tile on the same host), so this tile is written with intrinsics: two
 // zmm accumulator columns per row, embedded-broadcast FMAs, masked tail
 // stores.  Per C element the flop order is the same sequential k loop as the
 // scalar template, and edge tiles share the interior code path.
@@ -211,9 +213,10 @@ KHSS_TGT_AVX512 KHSS_ALWAYS_INLINE void micro_kernel_zmm(
 }
 
 template <int MR>
-KHSS_TGT_AVX512 void macro_kernel_zmm_t(int mc, int nc, int kc,
-                                        const double* ap, const double* bp,
-                                        double* c, int ldc) {
+KHSS_TGT_AVX512 KHSS_ALIGN_HOT void macro_kernel_zmm_t(int mc, int nc, int kc,
+                                                       const double* ap,
+                                                       const double* bp,
+                                                       double* c, int ldc) {
   for (int jr = 0; jr < nc; jr += 16) {
     const int nr = nc - jr < 16 ? nc - jr : 16;
     const double* bpanel = bp + static_cast<std::size_t>(jr) * kc;
@@ -227,27 +230,18 @@ KHSS_TGT_AVX512 void macro_kernel_zmm_t(int mc, int nc, int kc,
 }
 
 // 8x16 fills 16 of 32 zmm with accumulators (plus one B row pair and an A
-// broadcast); 6x16 trades two accumulator rows for more rename headroom —
-// which wins is host-dependent, so the autotuner sweeps both.
-#define KHSS_KOPS_ZMM(SUF, MR_)                                              \
-  KHSS_TGT_AVX512 void pack_a_##SUF(int mc, int kc, double alpha,            \
-                                    const double* a, int lda, bool ta,       \
-                                    double* ap) {                            \
-    pack_a_t<MR_>(mc, kc, alpha, a, lda, ta, ap);                            \
-  }                                                                          \
-  KHSS_TGT_AVX512 void pack_b_##SUF(int kc, int nc, const double* b,         \
-                                    int ldb, bool tb, double* bp) {          \
-    pack_b_t<16>(kc, nc, b, ldb, tb, bp);                                    \
-  }                                                                          \
-  void macro_##SUF(int mc, int nc, int kc, const double* ap,                 \
-                   const double* bp, double* c, int ldc) {                   \
-    macro_kernel_zmm_t<MR_>(mc, nc, kc, ap, bp, c, ldc);                     \
-  }
+// broadcast).
+KHSS_TGT_AVX512 KHSS_ALIGN_HOT void pack_a_avx512(int mc, int kc, double alpha,
+                                                  const double* a, int lda,
+                                                  bool ta, double* ap) {
+  pack_a_t<8>(mc, kc, alpha, a, lda, ta, ap);
+}
 
-KHSS_KOPS_ZMM(avx512_8x16, 8)
-KHSS_KOPS_ZMM(avx512_6x16, 6)
-
-#undef KHSS_KOPS_ZMM
+KHSS_TGT_AVX512 KHSS_ALIGN_HOT void pack_b_avx512(int kc, int nc,
+                                                  const double* b, int ldb,
+                                                  bool tb, double* bp) {
+  pack_b_t<16>(kc, nc, b, ldb, tb, bp);
+}
 #endif
 
 #undef KHSS_KOPS
@@ -257,10 +251,8 @@ const KernelOps kOpsGeneric{"generic-4x8", 4, 8, pack_a_generic,
 #if defined(KHSS_ISA_MULTIVERSION)
 const KernelOps kOpsAvx2{"avx2-4x8", 4, 8, pack_a_avx2, pack_b_avx2,
                          macro_avx2};
-const KernelOps kOpsAvx512_8x16{"avx512-8x16", 8, 16, pack_a_avx512_8x16,
-                                pack_b_avx512_8x16, macro_avx512_8x16};
-const KernelOps kOpsAvx512_6x16{"avx512-6x16", 6, 16, pack_a_avx512_6x16,
-                                pack_b_avx512_6x16, macro_avx512_6x16};
+const KernelOps kOpsAvx512{"avx512-8x16", 8, 16, pack_a_avx512,
+                           pack_b_avx512, macro_kernel_zmm_t<8>};
 #endif
 
 // Supported variants, best first; [0] is the startup default.
@@ -268,10 +260,7 @@ const std::vector<const KernelOps*>& supported_ops() {
   static const std::vector<const KernelOps*> ops = [] {
     std::vector<const KernelOps*> v;
 #if defined(KHSS_ISA_MULTIVERSION)
-    if (util::cpu_has_avx512()) {
-      v.push_back(&kOpsAvx512_8x16);
-      v.push_back(&kOpsAvx512_6x16);
-    }
+    if (util::cpu_has_avx512()) v.push_back(&kOpsAvx512);
     if (util::cpu_has_avx2()) v.push_back(&kOpsAvx2);
 #endif
     v.push_back(&kOpsGeneric);
@@ -287,35 +276,11 @@ const KernelOps* find_ops(const std::string& name) {
   return nullptr;
 }
 
-int clamp_blocking(int v) { return std::max(8, std::min(4096, v)); }
-
-GemmBlocking clamped(const GemmBlocking& blk) {
-  return {clamp_blocking(blk.kc), clamp_blocking(blk.mc),
-          clamp_blocking(blk.nc)};
-}
-
-// Process-wide kernel + blocking, resolved lazily on first use (magic
-// static) from the pinned defaults / env override / autotuner cache — see
-// gemm_tune.cpp for the resolution order.  The set_* hooks mutate it; they
-// are documented as not thread-safe against in-flight GEMMs.
-struct ActiveConfig {
-  const KernelOps* ops;
-  GemmBlocking blk;
-};
-
-ActiveConfig resolve_active() {
-  const GemmConfig rc = resolve_gemm_config();
-  ActiveConfig out;
-  const KernelOps* named =
-      rc.kernel.empty() ? nullptr : find_ops(rc.kernel);
-  out.ops = named != nullptr ? named : supported_ops().front();
-  out.blk = clamped(rc.blocking);
-  return out;
-}
-
-ActiveConfig& active() {
-  static ActiveConfig cfg = resolve_active();
-  return cfg;
+// The variant every packed GEMM runs: the best supported one, unless a test
+// installed another with set_gemm_kernel.
+const KernelOps*& active_ops() {
+  static const KernelOps* ops = supported_ops().front();
+  return ops;
 }
 
 // ---------------------------------------------------------------------------
@@ -326,31 +291,25 @@ ActiveConfig& active() {
 // ---------------------------------------------------------------------------
 
 // Packed panels are zero-padded out to whole MR-row / NR-column tiles, so
-// buffers hold round_up(mc, MR) x kc and kc x round_up(nc, NR) doubles.
+// buffers hold round_up(kMC, MR) x kKC and kKC x round_up(kNC, NR) doubles.
 // Padding by the largest register tile of any variant covers every kernel,
 // including mid-process set_gemm_kernel switches.
 constexpr int kMaxMR = 8;
 constexpr int kMaxNR = 16;
-
-std::size_t apack_elems(const GemmBlocking& blk) {
-  return static_cast<std::size_t>(blk.mc + kMaxMR) * blk.kc;
-}
-
-std::size_t bpack_elems(const GemmBlocking& blk) {
-  return static_cast<std::size_t>(blk.kc) * (blk.nc + kMaxNR);
-}
+constexpr std::size_t kApackElems =
+    static_cast<std::size_t>(kMC + kMaxMR) * kKC;
+constexpr std::size_t kBpackElems =
+    static_cast<std::size_t>(kKC) * (kNC + kMaxNR);
 
 struct PackBuffers {
-  std::vector<double> a;  // mc x kc, alpha folded in, MR-row panels
-  std::vector<double> b;  // kc x nc, NR-column panels
+  // mc x kc, alpha folded in, MR-row panels
+  std::vector<double> a = std::vector<double>(kApackElems);
+  // kc x nc, NR-column panels
+  std::vector<double> b = std::vector<double>(kBpackElems);
 };
 
-PackBuffers& serial_buffers(const GemmBlocking& blk) {
+PackBuffers& serial_buffers() {
   thread_local PackBuffers bufs;
-  const std::size_t aneed = apack_elems(blk);
-  const std::size_t bneed = bpack_elems(blk);
-  if (bufs.a.size() < aneed) bufs.a.resize(aneed);
-  if (bufs.b.size() < bneed) bufs.b.resize(bneed);
   return bufs;
 }
 
@@ -360,12 +319,11 @@ struct TeamWorkspace {
   std::vector<double> b;  // one shared kc x nc packed panel
 };
 
-TeamWorkspace& team_buffers(int nthreads, const GemmBlocking& blk) {
+TeamWorkspace& team_buffers(int nthreads) {
   thread_local TeamWorkspace ws;
-  const std::size_t aneed = apack_elems(blk) * static_cast<std::size_t>(nthreads);
-  const std::size_t bneed = bpack_elems(blk);
+  const std::size_t aneed = kApackElems * static_cast<std::size_t>(nthreads);
   if (ws.a.size() < aneed) ws.a.resize(aneed);
-  if (ws.b.size() < bneed) ws.b.resize(bneed);
+  if (ws.b.size() < kBpackElems) ws.b.resize(kBpackElems);
   return ws;
 }
 
@@ -379,22 +337,21 @@ TeamWorkspace& team_buffers(int nthreads, const GemmBlocking& blk) {
 
 void gemm_driver_serial(int m, int n, int k, double alpha, const double* a,
                         int lda, bool ta, const double* b, int ldb, bool tb,
-                        double* c, int ldc, const KernelOps& ops,
-                        const GemmBlocking& blk) {
-  PackBuffers& bufs = serial_buffers(blk);
+                        double* c, int ldc, const KernelOps& ops) {
+  PackBuffers& bufs = serial_buffers();
   double* apack = bufs.a.data();
   double* bpack = bufs.b.data();
 
-  for (int jc = 0; jc < n; jc += blk.nc) {
-    const int nc = n - jc < blk.nc ? n - jc : blk.nc;
-    for (int pc = 0; pc < k; pc += blk.kc) {
-      const int kc = k - pc < blk.kc ? k - pc : blk.kc;
+  for (int jc = 0; jc < n; jc += kNC) {
+    const int nc = n - jc < kNC ? n - jc : kNC;
+    for (int pc = 0; pc < k; pc += kKC) {
+      const int kc = k - pc < kKC ? k - pc : kKC;
       ops.pack_b(kc, nc,
                  tb ? b + static_cast<std::size_t>(jc) * ldb + pc
                     : b + static_cast<std::size_t>(pc) * ldb + jc,
                  ldb, tb, bpack);
-      for (int ic = 0; ic < m; ic += blk.mc) {
-        const int mc = m - ic < blk.mc ? m - ic : blk.mc;
+      for (int ic = 0; ic < m; ic += kMC) {
+        const int mc = m - ic < kMC ? m - ic : kMC;
         ops.pack_a(mc, kc, alpha,
                    ta ? a + static_cast<std::size_t>(pc) * lda + ic
                       : a + static_cast<std::size_t>(ic) * lda + pc,
@@ -409,12 +366,11 @@ void gemm_driver_serial(int m, int n, int k, double alpha, const double* a,
 void gemm_driver_threaded(int m, int n, int k, double alpha, const double* a,
                           int lda, bool ta, const double* b, int ldb, bool tb,
                           double* c, int ldc, const KernelOps& ops,
-                          const GemmBlocking& blk, int nthreads) {
-  TeamWorkspace& ws = team_buffers(nthreads, blk);
+                          int nthreads) {
+  TeamWorkspace& ws = team_buffers(nthreads);
   double* apool = ws.a.data();
   double* bpack = ws.b.data();
-  const std::size_t aslot = apack_elems(blk);
-  const int mblocks = (m + blk.mc - 1) / blk.mc;
+  const int mblocks = (m + kMC - 1) / kMC;
   // Shape-only mode split: with several MC macro-rows each thread owns whole
   // rows (private packed A); with a single one, A is packed cooperatively
   // into the shared slot and threads own NR column panels instead.
@@ -422,11 +378,12 @@ void gemm_driver_threaded(int m, int n, int k, double alpha, const double* a,
 
 #pragma omp parallel num_threads(nthreads) default(shared)
   {
-    double* apriv = apool + static_cast<std::size_t>(util::thread_id()) * aslot;
-    for (int jc = 0; jc < n; jc += blk.nc) {
-      const int nc = n - jc < blk.nc ? n - jc : blk.nc;
-      for (int pc = 0; pc < k; pc += blk.kc) {
-        const int kc = k - pc < blk.kc ? k - pc : blk.kc;
+    double* apriv =
+        apool + static_cast<std::size_t>(util::thread_id()) * kApackElems;
+    for (int jc = 0; jc < n; jc += kNC) {
+      const int nc = n - jc < kNC ? n - jc : kNC;
+      for (int pc = 0; pc < k; pc += kKC) {
+        const int kc = k - pc < kKC ? k - pc : kKC;
         const double* bsrc = tb ? b + static_cast<std::size_t>(jc) * ldb + pc
                                 : b + static_cast<std::size_t>(pc) * ldb + jc;
         const double* asrc = ta ? a + static_cast<std::size_t>(pc) * lda
@@ -445,8 +402,8 @@ void gemm_driver_threaded(int m, int n, int k, double alpha, const double* a,
         if (split_rows) {
 #pragma omp for schedule(static)
           for (int icb = 0; icb < mblocks; ++icb) {
-            const int ic = icb * blk.mc;
-            const int mc = m - ic < blk.mc ? m - ic : blk.mc;
+            const int ic = icb * kMC;
+            const int mc = m - ic < kMC ? m - ic : kMC;
             ops.pack_a(mc, kc, alpha,
                        ta ? asrc + ic : asrc + static_cast<std::size_t>(ic) * lda,
                        lda, ta, apriv);
@@ -454,7 +411,7 @@ void gemm_driver_threaded(int m, int n, int k, double alpha, const double* a,
                       c + static_cast<std::size_t>(ic) * ldc + jc, ldc);
           }
         } else {
-          // Single MC block (m <= mc): pack it once, cooperatively, into
+          // Single MC block (m <= kMC): pack it once, cooperatively, into
           // the shared slot (MR-aligned row sub-packs byte-match the full
           // pack), then split the column panels.
 #pragma omp for schedule(static)
@@ -485,16 +442,15 @@ void gemm_packed_serial(int m, int n, int k, double alpha, const double* a,
                         int lda, bool ta, const double* b, int ldb, bool tb,
                         double* c, int ldc) {
   if (m <= 0 || n <= 0 || k <= 0 || alpha == 0.0) return;
-  const ActiveConfig& cfg = active();
-  gemm_driver_serial(m, n, k, alpha, a, lda, ta, b, ldb, tb, c, ldc, *cfg.ops,
-                     cfg.blk);
+  gemm_driver_serial(m, n, k, alpha, a, lda, ta, b, ldb, tb, c, ldc,
+                     *active_ops());
 }
 
 void gemm_packed(int m, int n, int k, double alpha, const double* a, int lda,
                  bool ta, const double* b, int ldb, bool tb, double* c,
                  int ldc) {
   if (m <= 0 || n <= 0 || k <= 0 || alpha == 0.0) return;
-  const ActiveConfig& cfg = active();
+  const KernelOps& ops = *active_ops();
   const int nthreads = util::max_threads();
   const long flops = 2L * m * n * k;
   // Nested callers (an active parallel region above us) already own the
@@ -502,26 +458,14 @@ void gemm_packed(int m, int n, int k, double alpha, const double* a, int lda,
   // Either way the serial driver produces identical bits, so this gate
   // affects speed only.
   if (nthreads <= 1 || flops < kGemmThreadFlops || util::in_parallel()) {
-    gemm_driver_serial(m, n, k, alpha, a, lda, ta, b, ldb, tb, c, ldc,
-                       *cfg.ops, cfg.blk);
+    gemm_driver_serial(m, n, k, alpha, a, lda, ta, b, ldb, tb, c, ldc, ops);
     return;
   }
-  gemm_driver_threaded(m, n, k, alpha, a, lda, ta, b, ldb, tb, c, ldc,
-                       *cfg.ops, cfg.blk, nthreads);
+  gemm_driver_threaded(m, n, k, alpha, a, lda, ta, b, ldb, tb, c, ldc, ops,
+                       nthreads);
 }
 
-void gemm_packed_with(const std::string& kernel, const GemmBlocking& blk,
-                      int m, int n, int k, double alpha, const double* a,
-                      int lda, bool ta, const double* b, int ldb, bool tb,
-                      double* c, int ldc) {
-  if (m <= 0 || n <= 0 || k <= 0 || alpha == 0.0) return;
-  const KernelOps* ops = find_ops(kernel);
-  if (ops == nullptr) ops = supported_ops().front();
-  gemm_driver_serial(m, n, k, alpha, a, lda, ta, b, ldb, tb, c, ldc, *ops,
-                     clamped(blk));
-}
-
-const char* gemm_kernel_name() { return active().ops->name; }
+const char* gemm_kernel_name() { return active_ops()->name; }
 
 std::vector<std::string> supported_gemm_kernels() {
   std::vector<std::string> names;
@@ -529,14 +473,10 @@ std::vector<std::string> supported_gemm_kernels() {
   return names;
 }
 
-GemmBlocking gemm_blocking() { return active().blk; }
-
-void set_gemm_blocking(const GemmBlocking& blk) { active().blk = clamped(blk); }
-
 bool set_gemm_kernel(const std::string& name) {
   const KernelOps* ops = find_ops(name);
   if (ops == nullptr) return false;
-  active().ops = ops;
+  active_ops() = ops;
   return true;
 }
 

@@ -13,7 +13,7 @@
 //                       is not itself inside an active parallel region and
 //                       the product is large enough; otherwise identical to
 //                       the serial entry.  The macro-tile decomposition is
-//                       fixed by the shape and the active blocking alone —
+//                       fixed by the shape and the pinned blocking alone —
 //                       each output tile is computed by exactly one thread
 //                       with the same per-tile accumulation order the serial
 //                       driver uses — so results are bit-identical to the
@@ -21,21 +21,20 @@
 //
 // The microkernel/packing routines are compiled per ISA tier when the
 // toolchain supports function target attributes: a baseline version, an
-// AVX2+FMA 4x8 tile, and AVX-512 8x16 / 6x16 tiles, one variant picked once
-// at startup via __builtin_cpu_supports.  Dispatch depends only on the host
-// CPU (plus an explicit config override), never on shapes or thread counts,
-// so run-to-run determinism on one machine is unaffected.
+// AVX2+FMA 4x8 tile and an AVX-512 8x16 tile, the best one the host CPU
+// supports picked once at startup via __builtin_cpu_supports.  Dispatch
+// depends only on the host CPU, never on shapes or thread counts, so
+// run-to-run determinism on one machine is unaffected.
 //
-// Blocking (KC/MC/NC) is a runtime parameter resolved once per process from
-// the pinned defaults below, the KHSS_GEMM_BLOCKING env override, or the
-// autotuner cache file (see gemm_tune.hpp for the resolution order).
+// The cache blocking (KC/MC/NC) is fixed at compile time: kKC/kMC/kNC
+// below.
 
 #include <string>
 #include <vector>
 
 namespace khss::la::detail {
 
-// Pinned default blocking (see DESIGN.md "Compute core" for the re-tuning
+// Pinned blocking (see DESIGN.md "Compute core" for the re-tuning
 // recipe).  The register tile MR x NR is a property of the selected kernel
 // variant, not of the blocking: MR*NR accumulators must fit the vector
 // register file with room for one B row and an A broadcast.  kKC sizes the
@@ -61,8 +60,8 @@ inline constexpr long kSmallGemmOps = 1024;
 /// paths produce identical bits anyway, so the choice is invisible.
 inline constexpr long kGemmThreadFlops = 1L << 21;
 
-/// Cache-blocking parameters of the packed driver, clamped to sane ranges
-/// when installed (see set_gemm_blocking).
+/// Cache-blocking parameters of the packed driver, for reports
+/// (gemm_blocking()).
 struct GemmBlocking {
   int kc = kKC;
   int mc = kMC;
@@ -86,36 +85,21 @@ void gemm_packed(int m, int n, int k, double alpha, const double* a, int lda,
                  bool ta, const double* b, int ldb, bool tb, double* c,
                  int ldc);
 
-/// Tuning-only entry: run the serial driver with an explicit kernel variant
-/// and blocking, bypassing the resolved process-wide configuration (the
-/// autotuner sweeps candidates through this without touching — or waiting
-/// on — the lazily-initialized active config).  Unknown/unsupported kernel
-/// names fall back to the best supported variant.
-void gemm_packed_with(const std::string& kernel, const GemmBlocking& blk,
-                      int m, int n, int k, double alpha, const double* a,
-                      int lda, bool ta, const double* b, int ldb, bool tb,
-                      double* c, int ldc);
-
-/// Name of the active kernel variant: "avx512-8x16", "avx512-6x16",
-/// "avx2-4x8" or "generic-4x8".
+/// Name of the active kernel variant: "avx512-8x16", "avx2-4x8" or
+/// "generic-4x8".
 const char* gemm_kernel_name();
 
-/// Kernel variant names this host can run, best first (autotuner domain).
+/// The packed driver's blocking: kKC/kMC/kNC.
+inline GemmBlocking gemm_blocking() { return {}; }
+
+/// Kernel variant names this host can run, best first.  Together with
+/// set_gemm_kernel this is a test hook: it lets a test run every variant
+/// this CPU supports.
 std::vector<std::string> supported_gemm_kernels();
 
-/// Active blocking after resolution (triggers resolution on first call).
-GemmBlocking gemm_blocking();
-
-/// Install a blocking override (test hook + config resolution).  Values are
-/// clamped to [8, 4096].  Changing the blocking changes which decomposition
-/// the packed driver uses — results stay bit-identical across thread counts
-/// *within* one blocking, not across different blockings.  Not thread-safe;
-/// call before spinning up concurrent GEMM users.
-void set_gemm_blocking(const GemmBlocking& blk);
-
 /// Install a kernel variant by name; returns false (and changes nothing)
-/// when the name is unknown or unsupported on this host.  Same caveats as
-/// set_gemm_blocking.
+/// when the name is unknown or unsupported on this host.  Not thread-safe;
+/// call before spinning up concurrent GEMM users.
 bool set_gemm_kernel(const std::string& name);
 
 }  // namespace khss::la::detail

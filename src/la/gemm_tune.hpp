@@ -1,57 +1,16 @@
 #pragma once
-// Runtime configuration of the packed GEMM core: blocking (KC/MC/NC) and
-// kernel-variant selection (DESIGN.md "Compute core").
-//
-// Resolution order, evaluated once per process the first time any packed
-// GEMM runs (or a config accessor is called):
-//
-//   1. KHSS_GEMM_BLOCKING="kc,mc,nc[,kernel]"   explicit env pin
-//   2. KHSS_GEMM_CONFIG=<path>                  cache file, same one-line
-//      format "kc,mc,nc,kernel"; when the file is missing AND
-//      KHSS_GEMM_AUTOTUNE=1, the one-shot sweep below runs and writes it
-//   3. pinned defaults (gemm_kernel.hpp kKC/kMC/kNC + best supported ISA)
-//
-// The autotune path is opt-in because a timing-driven choice is not
-// reproducible run-to-run; CI and the determinism suite stay on the pinned
-// defaults (or an explicit env pin).  Within ONE process the configuration
-// is resolved once and never silently changes, so every determinism and
-// thread-invariance contract holds regardless of how it was resolved.
-//
-// tools/khss_autotune is the explicit driver: it runs the sweep and writes
-// the cache file for later runs to pick up via KHSS_GEMM_CONFIG.
+// Where the packed GEMM core's configuration came from, as the repository
+// benchmark's environment report prints it.  The configuration is fixed at
+// compile time (la/gemm_kernel.hpp), so the answer is always "default".
 
 #include <string>
-
-#include "la/gemm_kernel.hpp"
 
 namespace khss::la::detail {
 
 struct GemmConfig {
-  GemmBlocking blocking;
-  std::string kernel;  // variant name; empty = best supported at startup
-  std::string source;  // "default" | "env" | "cache" | "autotune"
+  std::string source = "default";
 };
 
-/// Resolve the process-wide config per the order above.  Called once from
-/// the packed core's lazy init; safe to call directly (pure apart from the
-/// opt-in autotune's cache write).
-GemmConfig resolve_gemm_config();
-
-/// One-shot blocking/kernel sweep: times a size^3 product for every
-/// supported kernel variant across a fixed candidate blocking grid through
-/// gemm_packed_with (bypassing — never mutating — the active config) and
-/// returns the fastest.  Deterministic inputs; the winner is still a timing
-/// decision, hence opt-in (see above).
-GemmConfig autotune_gemm(int size = 512, int reps = 3);
-
-/// Single-line cache format: "kc,mc,nc,kernel".
-std::string format_gemm_config(const GemmConfig& cfg);
-
-/// Strict full-token parse of the format above (kernel optional).  Returns
-/// false on malformed input, leaving *out untouched.
-bool parse_gemm_config(const std::string& line, GemmConfig* out);
-
-/// Write cfg to path in the cache format; false on I/O failure.
-bool write_gemm_config_file(const std::string& path, const GemmConfig& cfg);
+inline GemmConfig resolve_gemm_config() { return {}; }
 
 }  // namespace khss::la::detail

@@ -1,7 +1,6 @@
 #include "la/iterative.hpp"
 
-#include <cmath>
-#include <vector>
+#include <algorithm>
 
 #include "util/contracts.hpp"
 
@@ -54,116 +53,6 @@ IterativeResult pcg(const MatVecFn& a, const MatVecFn& precond,
     for (std::size_t i = 0; i < p.size(); ++i) p[i] = z[i] + beta * p[i];
     res.iterations = it + 1;
   }
-  res.relative_residual = nrm2(r) / bnorm;
-  res.converged = res.relative_residual <= opts.rtol;
-  return res;
-}
-
-IterativeResult gmres(const MatVecFn& a, const MatVecFn& precond,
-                      const Vector& b, Vector* x,
-                      const IterativeOptions& opts) {
-  KHSS_REQUIRE(x != nullptr, "la::gmres: x is null");
-  KHSS_REQUIRE(x->size() == b.size(), "la::gmres: x has " << x->size()
-                                          << " entries, b has "
-                                          << b.size());
-  const int n = static_cast<int>(b.size());
-  const double bnorm = nrm2(b);
-  IterativeResult res;
-  if (bnorm == 0.0) {
-    std::fill(x->begin(), x->end(), 0.0);
-    res.converged = true;
-    return res;
-  }
-  const int m = std::max(1, opts.restart);
-
-  int total_iters = 0;
-  while (total_iters < opts.max_iterations) {
-    // Residual of the current iterate.
-    Vector r = b;
-    {
-      Vector ax = a(*x);
-      for (int i = 0; i < n; ++i) r[i] -= ax[i];
-    }
-    double beta = nrm2(r);
-    res.relative_residual = beta / bnorm;
-    if (res.relative_residual <= opts.rtol) {
-      res.converged = true;
-      return res;
-    }
-
-    // Arnoldi with modified Gram-Schmidt; Givens-rotation-free small least
-    // squares solve at the end of the cycle (sizes here are tiny).
-    std::vector<Vector> v;
-    v.reserve(m + 1);
-    {
-      Vector v0 = r;
-      const double inv = 1.0 / beta;
-      for (auto& e : v0) e *= inv;
-      v.push_back(std::move(v0));
-    }
-    Matrix h(m + 1, m);  // Hessenberg
-    int k = 0;
-    for (; k < m && total_iters < opts.max_iterations; ++k, ++total_iters) {
-      Vector w = precond ? a(precond(v[k])) : a(v[k]);
-      for (int i = 0; i <= k; ++i) {
-        h(i, k) = dot(w, v[i]);
-        axpy(-h(i, k), v[i], w);
-      }
-      h(k + 1, k) = nrm2(w);
-      if (h(k + 1, k) < 1e-14 * bnorm) {
-        ++k;
-        ++total_iters;
-        break;  // happy breakdown
-      }
-      const double inv = 1.0 / h(k + 1, k);
-      for (auto& e : w) e *= inv;
-      v.push_back(std::move(w));
-    }
-    res.iterations = total_iters;
-
-    // Solve min || beta e1 - H y || by normal equations on the (k+1) x k
-    // Hessenberg block (k is tiny; conditioning is fine for these sizes).
-    Matrix hk(k + 1, k);
-    for (int i = 0; i <= k; ++i) {
-      for (int j = 0; j < k; ++j) hk(i, j) = h(i, j);
-    }
-    Matrix hth = matmul(hk, hk, Trans::kYes, Trans::kNo);
-    Vector rhs(k, 0.0);
-    for (int j = 0; j < k; ++j) rhs[j] = hk(0, j) * beta;
-    // Tiny SPD solve via Cholesky-free Gaussian elimination.
-    Matrix sys = hth;
-    Vector y = rhs;
-    for (int c = 0; c < k; ++c) {
-      int piv = c;
-      for (int i = c + 1; i < k; ++i) {
-        if (std::fabs(sys(i, c)) > std::fabs(sys(piv, c))) piv = i;
-      }
-      for (int j = 0; j < k; ++j) std::swap(sys(c, j), sys(piv, j));
-      std::swap(y[c], y[piv]);
-      const double inv = 1.0 / sys(c, c);
-      for (int i = c + 1; i < k; ++i) {
-        const double f = sys(i, c) * inv;
-        if (f == 0.0) continue;
-        for (int j = c; j < k; ++j) sys(i, j) -= f * sys(c, j);
-        y[i] -= f * y[c];
-      }
-    }
-    for (int c = k - 1; c >= 0; --c) {
-      for (int j = c + 1; j < k; ++j) y[c] -= sys(c, j) * y[j];
-      y[c] /= sys(c, c);
-    }
-
-    // x += (M^{-1}) V y.
-    Vector update(n, 0.0);
-    for (int j = 0; j < k; ++j) axpy(y[j], v[j], update);
-    if (precond) update = precond(update);
-    axpy(1.0, update, *x);
-  }
-
-  // Final residual.
-  Vector r = b;
-  Vector ax = a(*x);
-  for (int i = 0; i < n; ++i) r[i] -= ax[i];
   res.relative_residual = nrm2(r) / bnorm;
   res.converged = res.relative_residual <= opts.rtol;
   return res;

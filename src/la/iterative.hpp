@@ -1,13 +1,12 @@
 #pragma once
-// Preconditioned iterative solvers.
+// Preconditioned iterative solver.
 //
 // The paper's conclusion sketches its future work: use the loose-tolerance
 // HSS ULV factorization as a *preconditioner* for an iterative solve instead
-// of as a direct solver.  These are the Krylov methods that extension plugs
-// into: CG for the SPD case (K + lambda I with a PSD kernel) and restarted
-// GMRES for general systems.  Operators and preconditioners are plain
-// callbacks, so any of the library's formats (dense kernel, H matrix, HSS)
-// can serve as either.
+// of as a direct solver.  This is the Krylov method that extension plugs
+// into: CG for the SPD case (K + lambda I with a PSD kernel).  Operators
+// and preconditioners are plain callbacks, so any of the library's formats
+// (dense kernel, H matrix, HSS) can serve as either.
 
 #include <functional>
 
@@ -21,7 +20,6 @@ using MatVecFn = std::function<Vector(const Vector&)>;
 struct IterativeOptions {
   double rtol = 1e-8;   // stop when ||r|| <= rtol * ||b||
   int max_iterations = 500;
-  int restart = 50;     // GMRES restart length
 };
 
 struct IterativeResult {
@@ -36,10 +34,5 @@ struct IterativeResult {
 IterativeResult pcg(const MatVecFn& a, const MatVecFn& precond,
                     const Vector& b, Vector* x,
                     const IterativeOptions& opts = {});
-
-/// Right-preconditioned restarted GMRES for general A.
-IterativeResult gmres(const MatVecFn& a, const MatVecFn& precond,
-                      const Vector& b, Vector* x,
-                      const IterativeOptions& opts = {});
 
 }  // namespace khss::la

@@ -1,4 +1,4 @@
-// Tests for PCG / GMRES and the HSS-preconditioned iterative KRR backend
+// Tests for PCG and the HSS-preconditioned iterative KRR backend
 // (the paper's Section 6 future-work configuration).
 #include <gtest/gtest.h>
 
@@ -106,63 +106,6 @@ TEST(PCG, RespectsIterationCap) {
   la::IterativeResult r = la::pcg(op_of(a), nullptr, b, &x, opts);
   EXPECT_FALSE(r.converged);
   EXPECT_LE(r.iterations, 5);
-}
-
-TEST(GMRES, SolvesNonSymmetricSystem) {
-  const int n = 60;
-  khss::util::Rng rng(6);
-  la::Matrix a(n, n);
-  rng.fill_normal(a.data(), a.size());
-  a.shift_diagonal(2.0 * n);  // diagonally dominant => well conditioned
-  la::Vector x0 = random_vec(n, 7);
-  la::Vector b = la::matvec(a, x0);
-
-  la::Vector x(n, 0.0);
-  la::IterativeOptions opts;
-  opts.rtol = 1e-10;
-  la::IterativeResult r = la::gmres(op_of(a), nullptr, b, &x, opts);
-  EXPECT_TRUE(r.converged);
-  for (int i = 0; i < n; ++i) EXPECT_NEAR(x[i], x0[i], 1e-6);
-}
-
-TEST(GMRES, RestartPathStillConverges) {
-  const int n = 120;
-  khss::util::Rng rng(8);
-  la::Matrix a(n, n);
-  rng.fill_normal(a.data(), a.size());
-  a.shift_diagonal(2.0 * n);
-  la::Vector b = random_vec(n, 9);
-
-  la::Vector x(n, 0.0);
-  la::IterativeOptions opts;
-  opts.rtol = 1e-9;
-  opts.restart = 10;  // force several restart cycles
-  opts.max_iterations = 500;
-  la::IterativeResult r = la::gmres(op_of(a), nullptr, b, &x, opts);
-  EXPECT_TRUE(r.converged);
-}
-
-TEST(GMRES, PreconditionedMatchesUnpreconditioned) {
-  const int n = 50;
-  khss::util::Rng rng(10);
-  la::Matrix a(n, n);
-  rng.fill_normal(a.data(), a.size());
-  a.shift_diagonal(2.0 * n);
-  la::Vector b = random_vec(n, 11);
-
-  la::MatVecFn jacobi = [&a](const la::Vector& v) {
-    la::Vector out(v.size());
-    for (std::size_t i = 0; i < v.size(); ++i) {
-      out[i] = v[i] / a(static_cast<int>(i), static_cast<int>(i));
-    }
-    return out;
-  };
-  la::IterativeOptions opts;
-  opts.rtol = 1e-10;
-  la::Vector x1(n, 0.0), x2(n, 0.0);
-  la::gmres(op_of(a), nullptr, b, &x1, opts);
-  la::gmres(op_of(a), jacobi, b, &x2, opts);
-  for (int i = 0; i < n; ++i) EXPECT_NEAR(x1[i], x2[i], 1e-6);
 }
 
 TEST(HSSPreconditioner, LooseULVAcceleratesCG) {

@@ -9,9 +9,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -19,7 +16,6 @@
 #include "la/blas.hpp"
 #include "la/chol.hpp"
 #include "la/gemm_kernel.hpp"
-#include "la/gemm_tune.hpp"
 #include "la/lu.hpp"
 #include "util/rng.hpp"
 #include "util/threads.hpp"
@@ -282,23 +278,21 @@ TEST(BlockedGemv, TransposedMatchesReference) {
 
 namespace {
 
-// RAII restore of the process-wide kernel/blocking configuration, so tests
-// that switch variants cannot leak state into later tests of this binary.
+// RAII restore of the process-wide kernel variant, so tests that switch
+// variants cannot leak state into later tests of this binary.
 struct KernelConfigGuard {
   std::string kernel = la::detail::gemm_kernel_name();
-  la::detail::GemmBlocking blk = la::detail::gemm_blocking();
-  ~KernelConfigGuard() {
-    la::detail::set_gemm_kernel(kernel);
-    la::detail::set_gemm_blocking(blk);
-  }
+  ~KernelConfigGuard() { la::detail::set_gemm_kernel(kernel); }
 };
 
 }  // namespace
 
-// Every supported microkernel variant (generic, AVX2, both AVX-512 register
-// tiles where the host has them) must agree with the naive kernel and be
-// bitwise thread-count invariant across {1, 2, 3, 8} threads — including
-// the odd shapes that exercise masked/padded edge tiles.
+// Every supported microkernel variant (generic, AVX2 and AVX-512 where the
+// host has them) must agree with the naive kernel and be bitwise
+// thread-count invariant across {1, 2, 3, 8} threads — including the odd
+// shapes that exercise masked/padded edge tiles, and each mode of the
+// threaded driver: 130x127x64 splits its two MC macro-rows across threads,
+// 96x200x80 (one MC block, above kGemmThreadFlops) splits NR column panels.
 TEST(BlockedGemm, KernelVariantsMatchNaiveAndThreadInvariant) {
   KernelConfigGuard guard;
   struct Shape {
@@ -308,6 +302,7 @@ TEST(BlockedGemm, KernelVariantsMatchNaiveAndThreadInvariant) {
       {la::detail::kMR - 1, 37, la::detail::kKC + 3},
       {130, 127, 64},
       {257, 31, 70},
+      {96, 200, 80},
   };
   for (const std::string& kernel : la::detail::supported_gemm_kernels()) {
     ASSERT_TRUE(la::detail::set_gemm_kernel(kernel));
@@ -336,131 +331,6 @@ TEST(BlockedGemm, KernelVariantsMatchNaiveAndThreadInvariant) {
     }
   }
   util::set_threads(util::hardware_threads());
-}
-
-// A non-default (autotuner-shaped) blocking must keep both the naive parity
-// and the bitwise thread-invariance contract: the tile partition depends on
-// the configured kc/mc/nc but never on the thread count.
-TEST(BlockedGemm, NonDefaultBlockingThreadInvariantBitwise) {
-  KernelConfigGuard guard;
-  la::detail::set_gemm_blocking({96, 48, 80});
-
-  expect_gemm_parity(201, 163, 197, 1.0, 0.0, 900);
-
-  util::Rng rng(901);
-  const int m = la::detail::kKC + 3, n = 261, k = 2 * 96 + 5;
-  la::Matrix a = random_matrix(m, k, rng);
-  la::Matrix b = random_matrix(k, n, rng);
-  util::set_threads(1);
-  la::Matrix ref(m, n);
-  la::gemm(1.0, a, la::Trans::kNo, b, la::Trans::kNo, 0.0, ref);
-  for (const int threads : {2, 3, 8}) {
-    util::set_threads(threads);
-    la::Matrix c(m, n);
-    la::gemm(1.0, a, la::Trans::kNo, b, la::Trans::kNo, 0.0, c);
-    for (int i = 0; i < m; ++i) {
-      for (int j = 0; j < n; ++j) {
-        ASSERT_EQ(c(i, j), ref(i, j)) << "threads=" << threads;
-      }
-    }
-  }
-  util::set_threads(util::hardware_threads());
-}
-
-// -------------------------------------------------- autotuner config plumbing
-
-TEST(GemmTune, ConfigFormatParseRoundTrip) {
-  la::detail::GemmConfig cfg;
-  cfg.blocking = {192, 96, 320};
-  cfg.kernel = "avx2-4x8";
-  la::detail::GemmConfig parsed;
-  ASSERT_TRUE(la::detail::parse_gemm_config(la::detail::format_gemm_config(cfg),
-                                            &parsed));
-  EXPECT_EQ(parsed.blocking.kc, 192);
-  EXPECT_EQ(parsed.blocking.mc, 96);
-  EXPECT_EQ(parsed.blocking.nc, 320);
-  EXPECT_EQ(parsed.kernel, "avx2-4x8");
-
-  // Kernel-less three-token form stays valid (kernel chosen by dispatch).
-  ASSERT_TRUE(la::detail::parse_gemm_config(" 256 , 128 , 256 ", &parsed));
-  EXPECT_EQ(parsed.kernel, "");
-
-  // Malformed pins must be rejected, never partially applied: wrong arity,
-  // non-integer tokens, trailing separators, non-positive blocks.
-  for (const char* bad : {"", "256", "256,128", "256,128,256,avx2,extra",
-                          "2.5,128,256", "256,128,-4", "a,b,c", "256,128,256,",
-                          "0,128,256"}) {
-    EXPECT_FALSE(la::detail::parse_gemm_config(bad, &parsed)) << bad;
-  }
-}
-
-TEST(GemmTune, CacheFileRoundTripAndResolveOrder) {
-  const std::string path = ::testing::TempDir() + "khss_gemm_test.cfg";
-  la::detail::GemmConfig cfg;
-  cfg.blocking = {192, 64, 512};
-  cfg.kernel = la::detail::supported_gemm_kernels().front();
-  ASSERT_TRUE(la::detail::write_gemm_config_file(path, cfg));
-
-  // Cache file resolves with source="cache".
-  ASSERT_EQ(setenv("KHSS_GEMM_CONFIG", path.c_str(), 1), 0);
-  unsetenv("KHSS_GEMM_BLOCKING");
-  la::detail::GemmConfig got = la::detail::resolve_gemm_config();
-  EXPECT_EQ(got.source, "cache");
-  EXPECT_EQ(got.blocking.kc, 192);
-  EXPECT_EQ(got.blocking.mc, 64);
-  EXPECT_EQ(got.blocking.nc, 512);
-  EXPECT_EQ(got.kernel, cfg.kernel);
-
-  // An explicit env pin outranks the cache file.
-  ASSERT_EQ(setenv("KHSS_GEMM_BLOCKING", "320,192,256", 1), 0);
-  got = la::detail::resolve_gemm_config();
-  EXPECT_EQ(got.source, "env");
-  EXPECT_EQ(got.blocking.kc, 320);
-
-  // A malformed env pin falls back to the pinned defaults — it must not
-  // silently flip to the cache or an autotune run.
-  ASSERT_EQ(setenv("KHSS_GEMM_BLOCKING", "nonsense", 1), 0);
-  got = la::detail::resolve_gemm_config();
-  EXPECT_EQ(got.source, "default");
-  EXPECT_EQ(got.blocking.kc, la::detail::kKC);
-
-  // Corrupt cache: defaults again (no silent autotune).
-  unsetenv("KHSS_GEMM_BLOCKING");
-  {
-    std::ofstream corrupt(path);
-    corrupt << "not,a,config,line,at,all\n";
-  }
-  got = la::detail::resolve_gemm_config();
-  EXPECT_EQ(got.source, "default");
-
-  unsetenv("KHSS_GEMM_CONFIG");
-  std::remove(path.c_str());
-}
-
-// The one-shot sweep itself: small size so the fast tier stays fast.  The
-// winner must be a supported kernel with positive blocking, and running the
-// result through the core must agree with the naive kernel.
-TEST(GemmTune, AutotuneReturnsUsableConfig) {
-  la::detail::GemmConfig tuned = la::detail::autotune_gemm(96, 1);
-  EXPECT_EQ(tuned.source, "autotune");
-  EXPECT_GT(tuned.blocking.kc, 0);
-  EXPECT_GT(tuned.blocking.mc, 0);
-  EXPECT_GT(tuned.blocking.nc, 0);
-  const auto kernels = la::detail::supported_gemm_kernels();
-  EXPECT_NE(std::find(kernels.begin(), kernels.end(), tuned.kernel),
-            kernels.end());
-
-  util::Rng rng(77);
-  const int m = 65, n = 51, k = 97;
-  la::Matrix a = random_matrix(m, k, rng);
-  la::Matrix b = random_matrix(k, n, rng);
-  la::Matrix c(m, n);
-  la::detail::gemm_packed_with(tuned.kernel, tuned.blocking, m, n, k, 1.0,
-                               a.data(), k, false, b.data(), n, false,
-                               c.data(), n);
-  la::Matrix naive(m, n);
-  la::gemm_naive(1.0, a, la::Trans::kNo, b, la::Trans::kNo, 0.0, naive);
-  EXPECT_LT(rel_diff(c, naive), 1e-12);
 }
 
 // ---------------------------------------------------------------- stress tier
