@@ -1,7 +1,6 @@
 #include "hss/build.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
 
 #include "la/blas.hpp"
@@ -44,6 +43,13 @@ std::vector<T> select(const std::vector<T>& v, const std::vector<int>& idx) {
   return out;
 }
 
+void require_symmetric(const HSSOptions& opts, const char* who) {
+  KHSS_REQUIRE(opts.symmetric,
+               who << ": HSSOptions::symmetric must be true; the HSS format "
+                      "stores one basis per node (V = U, B10 = B01^T) and has "
+                      "no non-symmetric build");
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -52,6 +58,7 @@ std::vector<T> select(const std::vector<T>& v, const std::vector<int>& idx) {
 
 HSSMatrix build_hss_direct(const cluster::ClusterTree& tree,
                            const ExtractFn& extract, const HSSOptions& opts) {
+  require_symmetric(opts, "build_hss_direct");
   util::Timer total_timer;
   const int n = tree.num_points();
   std::vector<HSSNode> nodes = skeleton_from_tree(tree);
@@ -68,14 +75,11 @@ HSSMatrix build_hss_direct(const cluster::ClusterTree& tree,
         nd.d = extract(range_indices(nd.lo, nd.hi),
                        range_indices(nd.lo, nd.hi));
       } else {
-        // Couplings between the children (already compressed).
-        HSSNode& l = nodes[nd.left];
-        HSSNode& r = nodes[nd.right];
-        nd.b01 = extract(l.jrow, r.jcol);
-        nd.b10 = extract(r.jrow, l.jcol);
+        // Coupling between the children (already compressed).
+        nd.b01 = extract(nodes[nd.left].jrow, nodes[nd.right].jrow);
       }
 
-      if (id == 0) continue;  // root stores only D / B couplings
+      if (id == 0) continue;  // root stores only D / B01
 
       const std::vector<int> comp = complement_indices(nd.lo, nd.hi, n);
 
@@ -89,32 +93,10 @@ HSSMatrix build_hss_direct(const cluster::ClusterTree& tree,
         row_candidates.insert(row_candidates.end(), nodes[nd.right].jrow.begin(),
                               nodes[nd.right].jrow.end());
       }
-      {
-        la::Matrix hanger = extract(row_candidates, comp);
-        la::RowID rid = la::interpolative_rows(hanger, trunc);
-        nd.u = std::move(rid.basis);
-        nd.jrow = select(row_candidates, rid.rows);
-      }
-
-      // Column side (or mirror the row side for symmetric matrices).
-      if (opts.symmetric) {
-        nd.v = nd.u;
-        nd.jcol = nd.jrow;
-      } else {
-        std::vector<int> col_candidates;
-        if (nd.is_leaf()) {
-          col_candidates = range_indices(nd.lo, nd.hi);
-        } else {
-          col_candidates = nodes[nd.left].jcol;
-          col_candidates.insert(col_candidates.end(),
-                                nodes[nd.right].jcol.begin(),
-                                nodes[nd.right].jcol.end());
-        }
-        la::Matrix hanger = extract(comp, col_candidates);
-        la::ColumnID cid = la::interpolative_cols(hanger, trunc);
-        nd.v = cid.coeff.transposed();
-        nd.jcol = select(col_candidates, cid.cols);
-      }
+      la::Matrix hanger = extract(row_candidates, comp);
+      la::RowID rid = la::interpolative_rows(hanger, trunc);
+      nd.u = std::move(rid.basis);
+      nd.jrow = select(row_candidates, rid.rows);
     }
   }
 
@@ -131,12 +113,9 @@ namespace {
 
 // Per-node scratch of one randomized construction attempt.
 struct NodeScratch {
-  la::Matrix sloc;        // local row sample (rows x s)
-  la::Matrix scloc;       // local column-side sample
-  la::Matrix rt;          // V^T R(I)   (rv x s)
-  la::Matrix rct;         // U^T Rc(I)  (ru x s)
+  la::Matrix sloc;        // local sample (rows x s)
+  la::Matrix rt;          // U^T R(I)   (ru x s)
   std::vector<int> jloc_row;  // selected local rows of sloc
-  std::vector<int> jloc_col;
 };
 
 // One construction attempt with a fixed sample count.  Returns false when
@@ -144,8 +123,7 @@ struct NodeScratch {
 bool try_randomized_build(std::vector<HSSNode>& nodes,
                           const std::vector<std::vector<int>>& by_level,
                           const ExtractFn& extract, const la::Matrix& r_block,
-                          const la::Matrix& s_block, const la::Matrix& rc_block,
-                          const la::Matrix& sc_block, const HSSOptions& opts) {
+                          const la::Matrix& s_block, const HSSOptions& opts) {
   const int s = r_block.cols();
   const la::TruncationOptions trunc = id_truncation(opts);
   const int rank_budget = s - opts.oversampling;
@@ -170,131 +148,67 @@ bool try_randomized_build(std::vector<HSSNode>& nodes,
         sc.sloc = s_block.block(nd.lo, 0, nd.size(), s);
         la::gemm(-1.0, nd.d, la::Trans::kNo, rloc, la::Trans::kNo, 1.0,
                  sc.sloc);
-        if (!opts.symmetric) {
-          la::Matrix rcloc = rc_block.block(nd.lo, 0, nd.size(), s);
-          sc.scloc = sc_block.block(nd.lo, 0, nd.size(), s);
-          la::gemm(-1.0, nd.d, la::Trans::kYes, rcloc, la::Trans::kNo, 1.0,
-                   sc.scloc);
-        }
       } else {
         HSSNode& l = nodes[nd.left];
         HSSNode& r = nodes[nd.right];
         NodeScratch& scl = scratch[nd.left];
         NodeScratch& scr = scratch[nd.right];
 
-        nd.b01 = extract(l.jrow, r.jcol);
-        nd.b10 = extract(r.jrow, l.jcol);
+        nd.b01 = extract(l.jrow, r.jrow);
 
-        // Merged row-side sample with the children's cross contribution
-        // removed: rows Jrow_left see  - B01 * (V_r^T R(I_r)).
+        // Merged sample with the children's cross contribution removed:
+        // rows Jrow_left see  - B01 (U_r^T R(I_r)), rows Jrow_right see
+        // - B01^T (U_l^T R(I_l)).
         la::Matrix top = scl.sloc.rows_subset(scl.jloc_row);
         la::gemm(-1.0, nd.b01, la::Trans::kNo, scr.rt, la::Trans::kNo, 1.0,
                  top);
         la::Matrix bot = scr.sloc.rows_subset(scr.jloc_row);
-        la::gemm(-1.0, nd.b10, la::Trans::kNo, scl.rt, la::Trans::kNo, 1.0,
+        la::gemm(-1.0, nd.b01, la::Trans::kYes, scl.rt, la::Trans::kNo, 1.0,
                  bot);
         sc.sloc = la::Matrix(top.rows() + bot.rows(), s);
         sc.sloc.set_block(0, 0, top);
         sc.sloc.set_block(top.rows(), 0, bot);
 
-        if (!opts.symmetric) {
-          la::Matrix ctop = scl.scloc.rows_subset(scl.jloc_col);
-          la::gemm(-1.0, nd.b10, la::Trans::kYes, scr.rct, la::Trans::kNo, 1.0,
-                   ctop);
-          la::Matrix cbot = scr.scloc.rows_subset(scr.jloc_col);
-          la::gemm(-1.0, nd.b01, la::Trans::kYes, scl.rct, la::Trans::kNo, 1.0,
-                   cbot);
-          sc.scloc = la::Matrix(ctop.rows() + cbot.rows(), s);
-          sc.scloc.set_block(0, 0, ctop);
-          sc.scloc.set_block(ctop.rows(), 0, cbot);
-        }
-
         // Children scratch no longer needed once merged.
         scl.sloc = la::Matrix();
         scr.sloc = la::Matrix();
-        scl.scloc = la::Matrix();
-        scr.scloc = la::Matrix();
       }
 
-      if (id == 0) continue;  // root keeps only B couplings
+      if (id == 0) continue;  // root keeps only B01
 
-      // Row-side interpolative compression of the local sample.
-      {
-        la::RowID rid = la::interpolative_rows(sc.sloc, trunc);
-        const int k = static_cast<int>(rid.rows.size());
-        if (k > rank_budget) {
+      // Interpolative compression of the local sample.
+      la::RowID rid = la::interpolative_rows(sc.sloc, trunc);
+      const int k = static_cast<int>(rid.rows.size());
+      if (k > rank_budget) {
 #pragma omp atomic write
-          failed = true;
-          continue;
-        }
-        nd.u = std::move(rid.basis);
-        sc.jloc_row = std::move(rid.rows);
-        if (nd.is_leaf()) {
-          nd.jrow.clear();
-          for (int j : sc.jloc_row) nd.jrow.push_back(nd.lo + j);
-        } else {
-          std::vector<int> merged = nodes[nd.left].jrow;
-          merged.insert(merged.end(), nodes[nd.right].jrow.begin(),
-                        nodes[nd.right].jrow.end());
-          nd.jrow = select(merged, sc.jloc_row);
-        }
+        failed = true;
+        continue;
       }
-
-      // Column side.
-      if (opts.symmetric) {
-        nd.v = nd.u;
-        nd.jcol = nd.jrow;
-        sc.jloc_col = sc.jloc_row;
+      nd.u = std::move(rid.basis);
+      sc.jloc_row = std::move(rid.rows);
+      if (nd.is_leaf()) {
+        nd.jrow.clear();
+        for (int j : sc.jloc_row) nd.jrow.push_back(nd.lo + j);
       } else {
-        la::RowID cid = la::interpolative_rows(sc.scloc, trunc);
-        const int k = static_cast<int>(cid.rows.size());
-        if (k > rank_budget) {
-#pragma omp atomic write
-          failed = true;
-          continue;
-        }
-        nd.v = std::move(cid.basis);
-        sc.jloc_col = std::move(cid.rows);
-        if (nd.is_leaf()) {
-          nd.jcol.clear();
-          for (int j : sc.jloc_col) nd.jcol.push_back(nd.lo + j);
-        } else {
-          std::vector<int> merged = nodes[nd.left].jcol;
-          merged.insert(merged.end(), nodes[nd.right].jcol.begin(),
-                        nodes[nd.right].jcol.end());
-          nd.jcol = select(merged, sc.jloc_col);
-        }
+        std::vector<int> merged = nodes[nd.left].jrow;
+        merged.insert(merged.end(), nodes[nd.right].jrow.begin(),
+                      nodes[nd.right].jrow.end());
+        nd.jrow = select(merged, sc.jloc_row);
       }
 
-      // Accumulated compressed random blocks for the parent's subtraction.
+      // Accumulated compressed random block for the parent's subtraction.
       if (nd.is_leaf()) {
         la::Matrix rloc = r_block.block(nd.lo, 0, nd.size(), s);
-        sc.rt = la::matmul(nd.v, rloc, la::Trans::kYes, la::Trans::kNo);
-        if (!opts.symmetric) {
-          la::Matrix rcloc = rc_block.block(nd.lo, 0, nd.size(), s);
-          sc.rct = la::matmul(nd.u, rcloc, la::Trans::kYes, la::Trans::kNo);
-        } else {
-          sc.rct = sc.rt;
-        }
+        sc.rt = la::matmul(nd.u, rloc, la::Trans::kYes, la::Trans::kNo);
       } else {
         NodeScratch& scl = scratch[nd.left];
         NodeScratch& scr = scratch[nd.right];
         la::Matrix stacked(scl.rt.rows() + scr.rt.rows(), s);
         stacked.set_block(0, 0, scl.rt);
         stacked.set_block(scl.rt.rows(), 0, scr.rt);
-        sc.rt = la::matmul(nd.v, stacked, la::Trans::kYes, la::Trans::kNo);
-        if (!opts.symmetric) {
-          la::Matrix cstacked(scl.rct.rows() + scr.rct.rows(), s);
-          cstacked.set_block(0, 0, scl.rct);
-          cstacked.set_block(scl.rct.rows(), 0, scr.rct);
-          sc.rct = la::matmul(nd.u, cstacked, la::Trans::kYes, la::Trans::kNo);
-        } else {
-          sc.rct = sc.rt;
-        }
+        sc.rt = la::matmul(nd.u, stacked, la::Trans::kYes, la::Trans::kNo);
         scl.rt = la::Matrix();
         scr.rt = la::Matrix();
-        scl.rct = la::Matrix();
-        scr.rct = la::Matrix();
       }
     }
     if (failed) return false;
@@ -309,9 +223,10 @@ HSSMatrix build_hss_randomized(const cluster::ClusterTree& tree,
                                const SampleFn& sample,
                                const SampleFn& sample_transpose,
                                const HSSOptions& opts) {
-  KHSS_REQUIRE(opts.symmetric || sample_transpose,
-               "build_hss_randomized: non-symmetric build needs a transpose "
-               "sampler");
+  require_symmetric(opts, "build_hss_randomized");
+  KHSS_REQUIRE(!sample_transpose,
+               "build_hss_randomized: sample_transpose must be empty; a "
+               "symmetric matrix is sampled by `sample` alone");
   KHSS_REQUIRE(extract && sample,
                "build_hss_randomized: extract and sample callbacks must be "
                "set");
@@ -330,19 +245,10 @@ HSSMatrix build_hss_randomized(const cluster::ClusterTree& tree,
     la::Matrix s_block = sample(r_block);
     sampling_seconds += sample_timer.seconds();
 
-    la::Matrix rc_block, sc_block;
-    if (!opts.symmetric) {
-      rc_block = la::Matrix(n, s);
-      rng.fill_normal(rc_block.data(), rc_block.size());
-      util::Timer tt;
-      sc_block = sample_transpose(rc_block);
-      sampling_seconds += tt.seconds();
-    }
-
     std::vector<HSSNode> nodes = skeleton_from_tree(tree);
     const auto by_level = cluster::levels_bottom_up(nodes);
     if (try_randomized_build(nodes, by_level, extract, r_block, s_block,
-                             rc_block, sc_block, opts)) {
+                             opts)) {
       HSSMatrix out(std::move(nodes), tree.postorder(), n);
       out.samples_used_ = s;
       out.restarts_ = restarts;
@@ -370,6 +276,14 @@ HSSMatrix build_hss_from_dense(const la::Matrix& a,
   KHSS_REQUIRE(a.rows() == tree.num_points(),
                "build_hss_from_dense: matrix order " << a.rows()
                    << " != tree points " << tree.num_points());
+  for (int i = 0; i < a.rows(); ++i) {
+    for (int j = 0; j < i; ++j) {
+      KHSS_REQUIRE(a(i, j) == a(j, i),
+                   "build_hss_from_dense: matrix is not symmetric: A("
+                       << i << ", " << j << ") != A(" << j << ", " << i
+                       << "); the HSS format stores B10 = B01^T");
+    }
+  }
   ExtractFn extract = [&a](const std::vector<int>& rows,
                            const std::vector<int>& cols) {
     la::Matrix out(static_cast<int>(rows.size()), static_cast<int>(cols.size()));
@@ -383,10 +297,7 @@ HSSMatrix build_hss_from_dense(const la::Matrix& a,
   if (!randomized) return build_hss_direct(tree, extract, opts);
 
   SampleFn sample = [&a](const la::Matrix& r) { return la::matmul(a, r); };
-  SampleFn sample_t = [&a](const la::Matrix& r) {
-    return la::matmul(a, r, la::Trans::kYes, la::Trans::kNo);
-  };
-  return build_hss_randomized(tree, extract, sample, sample_t, opts);
+  return build_hss_randomized(tree, extract, sample, {}, opts);
 }
 
 }  // namespace khss::hss

@@ -1,7 +1,8 @@
 #pragma once
-// HSS construction.
+// HSS construction for symmetric matrices (K + lambda I).
 //
-// Two builders are provided:
+// Two builders are provided; both compress the row side only and store one
+// basis per node (hss_matrix.hpp: V = U, B10 = B01^T):
 //
 //  * build_hss_direct: deterministic ID compression of explicitly extracted
 //    off-diagonal "hanger" blocks.  O(n^2 r) work — the reference
@@ -19,6 +20,11 @@
 // The sampler callback is where the paper's H-matrix acceleration plugs in:
 // pass KernelMatrix::multiply for the honest O(n^2) dense sampling, or
 // HMatrix::multiply for the fast structured sampling (Section 3.2 / Table 4).
+//
+// Two leftovers of the removed non-symmetric build remain only because the
+// repository benchmark (perfbench/layers.cpp) still spells them:
+// HSSOptions::symmetric, which must be true, and build_hss_randomized's
+// `sample_transpose`, which must be empty.  Both are checked preconditions.
 
 #include <cstdint>
 #include <functional>
@@ -33,7 +39,7 @@ namespace khss::hss {
 using ExtractFn = std::function<la::Matrix(const std::vector<int>&,
                                            const std::vector<int>&)>;
 
-/// S = A * R (R is n x s).  For the transpose sampler, S = A^T * R.
+/// S = A * R (R is n x s).
 using SampleFn = std::function<la::Matrix(const la::Matrix&)>;
 
 struct HSSOptions {
@@ -43,7 +49,7 @@ struct HSSOptions {
   int init_samples = 64;   // randomized: initial sample columns
   int oversampling = 10;   // randomized: required rank head-room
   int max_restarts = 6;    // randomized: sample-doubling budget
-  bool symmetric = true;   // kernel matrices are symmetric; skips V-side work
+  bool symmetric = true;   // must stay true (see the header comment)
   std::uint64_t seed = 7;
 };
 
@@ -51,8 +57,7 @@ struct HSSOptions {
 HSSMatrix build_hss_direct(const cluster::ClusterTree& tree,
                            const ExtractFn& extract, const HSSOptions& opts);
 
-/// Randomized builder.  `sample_transpose` may be empty when
-/// opts.symmetric is true.
+/// Randomized builder.  `sample_transpose` must be empty.
 HSSMatrix build_hss_randomized(const cluster::ClusterTree& tree,
                                const ExtractFn& extract,
                                const SampleFn& sample,
@@ -60,6 +65,8 @@ HSSMatrix build_hss_randomized(const cluster::ClusterTree& tree,
                                const HSSOptions& opts);
 
 /// Convenience: compress an explicit dense matrix (tests, small problems).
+/// Throws std::invalid_argument naming the first (i, j) with
+/// A(i, j) != A(j, i): only exactly symmetric matrices are accepted.
 HSSMatrix build_hss_from_dense(const la::Matrix& a,
                                const cluster::ClusterTree& tree,
                                const HSSOptions& opts, bool randomized = true);

@@ -42,23 +42,23 @@ la::Matrix HSSMatrix::matmat(const la::Matrix& x) const {
   // bit-identical for every thread count.  Blocks route through
   // la::gemm_rhs_invariant so matvec() columns match matmat() columns
   // bit-for-bit under any RHS split.
-  std::vector<la::Matrix> xt(nodes_.size());  // up: xt[i] = V_i^T x(I_i)
+  std::vector<la::Matrix> xt(nodes_.size());  // up: xt[i] = U_i^T x(I_i)
   std::vector<la::Matrix> f(nodes_.size());   // down: U-side inflow at i
 
   auto up_node = [&](int id) {
     const HSSNode& nd = nodes_[id];
-    if (id == root()) return;  // root has no V
+    if (id == root()) return;  // root has no basis
     if (nd.is_leaf()) {
       la::Matrix xloc = x.block(nd.lo, 0, nd.size(), s);
-      xt[id] = la::matmul_rhs_invariant(nd.v, xloc, la::Trans::kYes,
+      xt[id] = la::matmul_rhs_invariant(nd.u, xloc, la::Trans::kYes,
                                         la::Trans::kNo);
     } else {
-      const int rl = nodes_[nd.left].vrank();
-      const int rr = nodes_[nd.right].vrank();
+      const int rl = nodes_[nd.left].urank();
+      const int rr = nodes_[nd.right].urank();
       la::Matrix stacked(rl + rr, s);
       stacked.set_block(0, 0, xt[nd.left]);
       stacked.set_block(rl, 0, xt[nd.right]);
-      xt[id] = la::matmul_rhs_invariant(nd.v, stacked, la::Trans::kYes,
+      xt[id] = la::matmul_rhs_invariant(nd.u, stacked, la::Trans::kYes,
                                         la::Trans::kNo);
     }
   };
@@ -68,7 +68,8 @@ la::Matrix HSSMatrix::matmat(const la::Matrix& x) const {
     if (nd.is_leaf()) return;
     const int l = nd.left, r = nd.right;
     la::Matrix fl = la::matmul_rhs_invariant(nd.b01, xt[r]);
-    la::Matrix fr = la::matmul_rhs_invariant(nd.b10, xt[l]);
+    la::Matrix fr = la::matmul_rhs_invariant(nd.b01, xt[l], la::Trans::kYes,
+                                             la::Trans::kNo);
     if (id != root() && !f[id].empty()) {
       // Spread the parent's contribution through the translation operator.
       la::Matrix g = la::matmul_rhs_invariant(nd.u, f[id]);
@@ -131,50 +132,31 @@ la::Matrix HSSMatrix::dense() const {
   if (nodes_.empty()) return out;
 
   // Full (non-nested) bases per node, built bottom-up.
-  std::vector<la::Matrix> ufull(nodes_.size()), vfull(nodes_.size());
+  std::vector<la::Matrix> ufull(nodes_.size());
   for (int id : postorder_) {
     const HSSNode& nd = nodes_[id];
     if (nd.is_leaf()) {
       out.set_block(nd.lo, nd.lo, nd.d);
-      if (id != root()) {
-        ufull[id] = nd.u;
-        vfull[id] = nd.v;
-      }
+      if (id != root()) ufull[id] = nd.u;
       continue;
     }
     const int l = nd.left, r = nd.right;
-    // Cross terms of this node's children.
-    if (nd.b01.rows() > 0 && ufull[l].cols() > 0 && vfull[r].cols() > 0) {
+    // Cross terms of this node's children: U_l B01 U_r^T and its transpose.
+    if (nd.b01.rows() > 0 && ufull[l].cols() > 0 && ufull[r].cols() > 0) {
       la::Matrix t = la::matmul(ufull[l], nd.b01);
-      la::Matrix cross = la::matmul(t, vfull[r], la::Trans::kNo, la::Trans::kYes);
+      la::Matrix cross = la::matmul(t, ufull[r], la::Trans::kNo, la::Trans::kYes);
       out.set_block(nodes_[l].lo, nodes_[r].lo, cross);
-    }
-    if (nd.b10.rows() > 0 && ufull[r].cols() > 0 && vfull[l].cols() > 0) {
-      la::Matrix t = la::matmul(ufull[r], nd.b10);
-      la::Matrix cross = la::matmul(t, vfull[l], la::Trans::kNo, la::Trans::kYes);
-      out.set_block(nodes_[r].lo, nodes_[l].lo, cross);
+      out.set_block(nodes_[r].lo, nodes_[l].lo, cross.transposed());
     }
     if (id != root()) {
-      // Assemble this node's full bases from the children's.
-      const int m = nd.size();
-      ufull[id] = la::Matrix(m, nd.urank());
-      {
-        const int rl = nodes_[l].urank();
-        la::Matrix top = la::matmul(ufull[l], nd.u.block(0, 0, rl, nd.urank()));
-        la::Matrix bot = la::matmul(
-            ufull[r], nd.u.block(rl, 0, nodes_[r].urank(), nd.urank()));
-        ufull[id].set_block(0, 0, top);
-        ufull[id].set_block(nodes_[l].size(), 0, bot);
-      }
-      vfull[id] = la::Matrix(m, nd.vrank());
-      {
-        const int rl = nodes_[l].vrank();
-        la::Matrix top = la::matmul(vfull[l], nd.v.block(0, 0, rl, nd.vrank()));
-        la::Matrix bot = la::matmul(
-            vfull[r], nd.v.block(rl, 0, nodes_[r].vrank(), nd.vrank()));
-        vfull[id].set_block(0, 0, top);
-        vfull[id].set_block(nodes_[l].size(), 0, bot);
-      }
+      // Assemble this node's full basis from the children's.
+      ufull[id] = la::Matrix(nd.size(), nd.urank());
+      const int rl = nodes_[l].urank();
+      la::Matrix top = la::matmul(ufull[l], nd.u.block(0, 0, rl, nd.urank()));
+      la::Matrix bot = la::matmul(
+          ufull[r], nd.u.block(rl, 0, nodes_[r].urank(), nd.urank()));
+      ufull[id].set_block(0, 0, top);
+      ufull[id].set_block(nodes_[l].size(), 0, bot);
     }
   }
   return out;
@@ -183,17 +165,14 @@ la::Matrix HSSMatrix::dense() const {
 std::size_t HSSMatrix::memory_bytes() const {
   std::size_t total = 0;
   for (const auto& nd : nodes_) {
-    total += nd.d.bytes() + nd.u.bytes() + nd.v.bytes() + nd.b01.bytes() +
-             nd.b10.bytes();
+    total += nd.d.bytes() + nd.u.bytes() + nd.b01.bytes();
   }
   return total;
 }
 
 int HSSMatrix::max_rank() const {
   int r = 0;
-  for (const auto& nd : nodes_) {
-    r = std::max({r, nd.urank(), nd.vrank()});
-  }
+  for (const auto& nd : nodes_) r = std::max(r, nd.urank());
   return r;
 }
 
@@ -221,22 +200,18 @@ bool HSSMatrix::validate() const {
     if (nd.is_leaf()) {
       if (nd.d.rows() != nd.size() || nd.d.cols() != nd.size()) return false;
       if (static_cast<int>(id) != root()) {
-        if (nd.u.rows() != nd.size() || nd.v.rows() != nd.size()) return false;
+        if (nd.u.rows() != nd.size()) return false;
         if (static_cast<int>(nd.jrow.size()) != nd.urank()) return false;
-        if (static_cast<int>(nd.jcol.size()) != nd.vrank()) return false;
       }
       continue;
     }
     const HSSNode& l = nodes_[nd.left];
     const HSSNode& r = nodes_[nd.right];
     if (l.lo != nd.lo || l.hi != r.lo || r.hi != nd.hi) return false;
-    if (nd.b01.rows() != l.urank() || nd.b01.cols() != r.vrank()) return false;
-    if (nd.b10.rows() != r.urank() || nd.b10.cols() != l.vrank()) return false;
+    if (nd.b01.rows() != l.urank() || nd.b01.cols() != r.urank()) return false;
     if (static_cast<int>(id) != root()) {
       if (nd.u.rows() != l.urank() + r.urank()) return false;
-      if (nd.v.rows() != l.vrank() + r.vrank()) return false;
       if (static_cast<int>(nd.jrow.size()) != nd.urank()) return false;
-      if (static_cast<int>(nd.jcol.size()) != nd.vrank()) return false;
     }
   }
   return true;

@@ -3,15 +3,21 @@
 //
 // The HSS partition tree mirrors the ClusterTree node indexing.  Following
 // Figure 2/3 of the paper, a leaf node stores its dense diagonal block D and
-// the interpolative row/column bases U, V; an internal node stores the
-// translation operators (the small U~, V~ of the nested basis property) and
-// the coupling generators B01 (left-right) / B10 (right-left).
+// the interpolative basis U; an internal node stores the translation
+// operator (the small U~ of the nested basis property) and the coupling
+// generator B01 between its left and right children.
+//
+// The matrices compressed here are symmetric (K + lambda I), so the format
+// stores one generator set: the column basis V equals U, the selected
+// columns equal the selected rows Jrow, and the right-left coupling B10 is
+// B01^T.  Every consumer applies V as U and B10 as B01 transposed; nothing
+// else is stored.
 //
 // The construction used here is ID-based (see rrqr.hpp): bases have an
-// identity sub-block at the selected row/column subsets Jrow/Jcol, and every
-// B generator is literally a submatrix  A(Jrow_left, Jcol_right)  of the
-// original matrix — the partially matrix-free property the paper highlights:
-// building the format needs only a matvec for sampling plus element access.
+// identity sub-block at the selected row subset Jrow, and every B01 is
+// literally a submatrix  A(Jrow_left, Jrow_right)  of the original matrix —
+// the partially matrix-free property the paper highlights: building the
+// format needs only a matvec for sampling plus element access.
 
 #include <cstddef>
 #include <vector>
@@ -27,16 +33,12 @@ struct HSSNode {
 
   la::Matrix d;    // leaf only: dense diagonal block
   la::Matrix u;    // leaf: m x ru basis; internal: (ru_l + ru_r) x ru translation
-  la::Matrix v;    // column-side analogue
-  la::Matrix b01;  // internal: coupling A(Jrow_left, Jcol_right)
-  la::Matrix b10;  // internal: coupling A(Jrow_right, Jcol_left)
-  std::vector<int> jrow;  // selected global row indices (size ru)
-  std::vector<int> jcol;  // selected global column indices (size rv)
+  la::Matrix b01;  // internal: coupling A(Jrow_left, Jrow_right); B10 = B01^T
+  std::vector<int> jrow;  // selected global row (= column) indices (size ru)
 
   bool is_leaf() const { return left < 0; }
   int size() const { return hi - lo; }
   int urank() const { return u.cols(); }
-  int vrank() const { return v.cols(); }
 };
 
 struct HSSStats {

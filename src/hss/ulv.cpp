@@ -40,7 +40,7 @@ void ULVFactorization::assemble_node(int id, la::Matrix& d, la::Matrix& u,
   if (nd.is_leaf()) {
     d = nd.d;
     u = nd.u;
-    v = nd.v;
+    v = nd.u;  // symmetric format: V = U
     return;
   }
   const NodeFactor& fa = nf_[nd.left];
@@ -55,27 +55,23 @@ void ULVFactorization::assemble_node(int id, la::Matrix& d, la::Matrix& u,
     d.set_block(0, ra, la::matmul(t, fb.vhat, la::Trans::kNo, la::Trans::kYes));
   }
   {
-    la::Matrix t = la::matmul(fb.uhat, nd.b10);
+    // B10 = B01^T: the transposed operand is read in place, not copied.
+    la::Matrix t =
+        la::matmul(fb.uhat, nd.b01, la::Trans::kNo, la::Trans::kYes);
     d.set_block(ra, 0, la::matmul(t, fa.vhat, la::Trans::kNo, la::Trans::kYes));
   }
   if (id != hss_.root()) {
-    // U = blkdiag(Uhat_a, Uhat_b) * Utrans, same for V with Vhat.
+    // U = blkdiag(Uhat_a, Uhat_b) * Utrans and V = blkdiag(Vhat_a, Vhat_b)
+    // * Utrans: the translation operator is shared (V = U in the format).
+    const la::Matrix top = nd.u.block(0, 0, nodes[nd.left].urank(), nd.urank());
+    const la::Matrix bot = nd.u.block(nodes[nd.left].urank(), 0,
+                                      nodes[nd.right].urank(), nd.urank());
     u = la::Matrix(ra + rb, nd.urank());
-    u.set_block(0, 0,
-                la::matmul(fa.uhat, nd.u.block(0, 0, nodes[nd.left].urank(),
-                                               nd.urank())));
-    u.set_block(ra, 0,
-                la::matmul(fb.uhat,
-                           nd.u.block(nodes[nd.left].urank(), 0,
-                                      nodes[nd.right].urank(), nd.urank())));
-    v = la::Matrix(ra + rb, nd.vrank());
-    v.set_block(0, 0,
-                la::matmul(fa.vhat, nd.v.block(0, 0, nodes[nd.left].vrank(),
-                                               nd.vrank())));
-    v.set_block(ra, 0,
-                la::matmul(fb.vhat,
-                           nd.v.block(nodes[nd.left].vrank(), 0,
-                                      nodes[nd.right].vrank(), nd.vrank())));
+    u.set_block(0, 0, la::matmul(fa.uhat, top));
+    u.set_block(ra, 0, la::matmul(fb.uhat, bot));
+    v = la::Matrix(ra + rb, nd.urank());
+    v.set_block(0, 0, la::matmul(fa.vhat, top));
+    v.set_block(ra, 0, la::matmul(fb.vhat, bot));
   }
 }
 
@@ -233,7 +229,7 @@ la::Matrix ULVFactorization::solve(const la::Matrix& b) const {
       la::Matrix w_init;
       if (nd.is_leaf()) {
         bloc = b.block(nd.lo, 0, nd.size(), s);
-        if (id != root) w_init = la::Matrix(nd.vrank(), s);
+        if (id != root) w_init = la::Matrix(nd.urank(), s);
       } else {
         const int l = nd.left, r = nd.right;
         const int ra = nf_[l].m - nf_[l].me;
@@ -249,18 +245,20 @@ la::Matrix ULVFactorization::solve(const la::Matrix& b) const {
           bloc.set_block(0, 0, top);
         }
         {
-          la::Matrix t1 = la::matmul_rhs_invariant(nd.b10, omega_acc[l]);
+          la::Matrix t1 = la::matmul_rhs_invariant(nd.b01, omega_acc[l],
+                                                   la::Trans::kYes,
+                                                   la::Trans::kNo);
           la::Matrix corr = la::matmul_rhs_invariant(nf_[r].uhat, t1);
           la::Matrix bot = bkept[r];
           bot.add(corr, -1.0);
           bloc.set_block(ra, 0, bot);
         }
         if (id != root) {
-          // omega_p = Vtrans^T [omega_a; omega_b]  (+ V1^T z_p below).
-          la::Matrix stacked(nodes[l].vrank() + nodes[r].vrank(), s);
+          // omega_p = Utrans^T [omega_a; omega_b]  (+ V1^T z_p below).
+          la::Matrix stacked(nodes[l].urank() + nodes[r].urank(), s);
           stacked.set_block(0, 0, omega_acc[l]);
-          stacked.set_block(nodes[l].vrank(), 0, omega_acc[r]);
-          w_init = la::matmul_rhs_invariant(nd.v, stacked, la::Trans::kYes,
+          stacked.set_block(nodes[l].urank(), 0, omega_acc[r]);
+          w_init = la::matmul_rhs_invariant(nd.u, stacked, la::Trans::kYes,
                                             la::Trans::kNo);
         }
         // Children scratch consumed.

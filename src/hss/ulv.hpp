@@ -3,6 +3,11 @@
 // (Chandrasekaran, Gu, Pals 2006 — the algorithm STRUMPACK uses; the paper
 // contrasts it with the Sherman-Morrison-Woodbury approach of INV-ASKIT).
 //
+// The HSS matrix is symmetric (hss_matrix.hpp: V = U and B10 = B01^T are
+// implied, not stored); the elimination itself is the general one, because
+// after a node's LQ step its rotated column basis Vhat no longer equals its
+// Uhat, so the factor state keeps both.
+//
 // Sketch of the elimination at a node with m unknowns and row basis U (m x r):
 //   1. An orthogonal Omega with  Omega U = [0; Uhat]  zeroes the top
 //      me = m - r rows of U: in those rows the equations decouple from every
@@ -74,8 +79,8 @@ class ULVFactorization {
     la::Matrix dhat;   // m x m: Omega * D * Qlq^T; top-left me x me is L
     la::Matrix qlq;    // m x m orthogonal from the LQ step (empty if me == 0)
     la::Matrix uhat;   // r x r transformed row basis (non-root)
-    la::Matrix vhat;   // kept rows of Qlq * V (r x rv)
-    la::Matrix v1;     // eliminated rows of Qlq * V (me x rv)
+    la::Matrix vhat;   // kept rows of Qlq * V (r x r)
+    la::Matrix v1;     // eliminated rows of Qlq * V (me x r)
   };
 
   /// Factor an HSS matrix.  The HSS matrix must stay alive and unmodified
@@ -125,7 +130,8 @@ class ULVFactorization {
   void factor_tree_level_sweep();
   void factor_tree_task_dag();
   /// Reduced (D, U, V) at `id` in the coordinates left over after the
-  /// children's eliminations (U/V skipped for the root).
+  /// children's eliminations (U/V skipped for the root).  V starts out as
+  /// the node's U and differs from it only through the children's rotations.
   void assemble_node(int id, la::Matrix& d, la::Matrix& u,
                      la::Matrix& v) const;
   /// Elimination steps 1-3 at a non-root node with assembled (d, u, v).

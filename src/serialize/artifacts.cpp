@@ -184,11 +184,8 @@ void write_hss(ByteWriter& w, const hss::HSSMatrix& hss) {
     w.i32(nd.parent);
     w.matrix(nd.d);
     w.matrix(nd.u);
-    w.matrix(nd.v);
     w.matrix(nd.b01);
-    w.matrix(nd.b10);
     w.vec_i32(nd.jrow);
-    w.vec_i32(nd.jcol);
   }
 }
 
@@ -206,11 +203,8 @@ hss::HSSMatrix read_hss(ByteReader& r) {
     nd.parent = r.i32();
     nd.d = r.matrix();
     nd.u = r.matrix();
-    nd.v = r.matrix();
     nd.b01 = r.matrix();
-    nd.b10 = r.matrix();
     nd.jrow = r.vec_i32();
-    nd.jcol = r.vec_i32();
   }
   hss::HSSMatrix hss(std::move(nodes), std::move(postorder), n);
   if (!hss.empty() && !hss.validate()) {

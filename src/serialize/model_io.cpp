@@ -71,7 +71,9 @@ Meta read_meta(ByteReader& r) {
     const std::string hint =
         schema == 1 ? " — version 1 predates the kernel-zoo spec layout; "
                       "re-save the model with this build"
-                    : "";
+        : schema == 2 ? " — version 2 predates the symmetric HSS node layout; "
+                        "re-save the model with this build"
+                      : "";
     r.fail("unsupported model schema version " + std::to_string(schema) +
            " (this build reads version " +
            std::to_string(kModelSchemaVersion) + ")" + hint +

@@ -35,8 +35,9 @@ namespace khss::serialize {
 /// History: v1 = flat kernel params (gaussian/laplacian/polynomial only);
 /// v2 = recursive kernel spec (weight + composite children per node) for the
 /// kernel zoo — a v1 reader cannot even skip the kernel bytes safely, so
-/// both directions refuse by name instead of guessing.
-inline constexpr std::uint32_t kModelSchemaVersion = 2;
+/// both directions refuse by name instead of guessing; v3 = symmetric HSS
+/// nodes (D, U, B01, Jrow — v2 also stored V, B10 and Jcol).
+inline constexpr std::uint32_t kModelSchemaVersion = 3;
 
 /// Save a fitted model plus its trained weights (n x c, original point
 /// order, one column per class/RHS).  Throws SerializeError on any write

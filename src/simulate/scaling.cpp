@@ -5,9 +5,9 @@
 
 namespace khss::simulate {
 
-double ulv_node_flops(int m, int r, int rv) {
+double ulv_node_flops(int m, int r) {
   if (m <= 0) return 0.0;
-  const double md = m, rd = r, rvd = rv;
+  const double md = m, rd = r;
   const double me = md - rd;
   // Mirrors hss::ULVFactorization::factor() on one node:
   //  QL of the m x r basis + explicit Omega, Omega*D, LQ of the top me rows
@@ -18,7 +18,7 @@ double ulv_node_flops(int m, int r, int rv) {
          + 2.0 * md * md * md                      // Omega * D
          + 2.0 * me * me * md + 2.0 * md * md * me // LQ + Q
          + 2.0 * md * md * md                      // Dhat
-         + 2.0 * md * md * rvd;                    // Vt
+         + 2.0 * md * md * rd;                     // Vt (V has rank r)
 }
 
 std::vector<NodeWork> extract_workloads(const hss::HSSMatrix& hss) {
@@ -43,12 +43,10 @@ std::vector<NodeWork> extract_workloads(const hss::HSSMatrix& hss) {
       // Merge traffic: the remote child ships its kept reduced blocks
       // (Dhat kept-kept, Uhat, Vhat) to the parent's owner.
       const int rc = nodes[nd.right].urank();
-      const int rvc = nodes[nd.right].vrank();
-      w.merge_bytes = 8.0 * (static_cast<double>(rc) * rc * 2 +
-                             static_cast<double>(rc) * rvc);
+      w.merge_bytes = 8.0 * 3.0 * static_cast<double>(rc) * rc;
     }
     w.reduced_size = m;
-    w.flops = ulv_node_flops(m, nd.urank(), nd.vrank());
+    w.flops = ulv_node_flops(m, nd.urank());
   }
   return work;
 }

@@ -35,11 +35,11 @@ struct MachineModel {
   double bytes_per_second = 1e9;   // per-link bandwidth share (beta)
 };
 
-/// Flop count of eliminating one ULV node with reduced size m, row rank r
-/// and column rank rv (mirrors the dense operations in hss::ulv.cpp:
-/// QL of the m x r basis, LQ of the top me x m block, the two m x m
-/// orthogonal applications, and the V rotation).
-double ulv_node_flops(int m, int r, int rv);
+/// Flop count of eliminating one ULV node with reduced size m and rank r
+/// (mirrors the dense operations in hss::ulv.cpp: QL of the m x r basis,
+/// LQ of the top me x m block, the two m x m orthogonal applications, and
+/// the rotation of the m x r column basis).
+double ulv_node_flops(int m, int r);
 
 /// Per-node factorization workloads of a real HSS matrix (postorder).
 struct NodeWork {

@@ -35,7 +35,6 @@ void HSSSolver::compress(const kernel::KernelMatrix& kernel,
   hopts.rtol = compression_rtol();
   hopts.init_samples = opts_.hss_init_samples;
   hopts.max_rank = opts_.max_rank;
-  hopts.symmetric = true;
   hopts.seed = opts_.seed;
 
   if (backend_ == SolverBackend::kHSSDirect) {
@@ -54,6 +53,9 @@ void HSSSolver::compress(const kernel::KernelMatrix& kernel,
       sampler = [this](const la::Matrix& r) { return kernel_->multiply(r); };
     }
     hss_ = hss::build_hss_randomized(*tree_, extract, sampler, {}, hopts);
+    // Only PCG solves with the H operator; for kHSSRandomH it was a
+    // sampling accelerator, so free it now (h_memory_bytes keeps its size).
+    if (backend_ != SolverBackend::kIterativeHSSPrecond) hmat_.reset();
   }
   stats_.compress_seconds = hss_.construction_seconds_;
   stats_.sampling_seconds = hss_.sampling_seconds_;
@@ -113,13 +115,10 @@ void HSSSolver::save_state(serialize::ByteWriter& w) const {
   write_state_tag(w);
   serialize::write_hss(w, hss_);
   serialize::write_ulv(w, *ulv_);
-  // The H operator is only worth storing when solves still need it: PCG
-  // iterates on it.  For kHSSRandomH it was purely a compress-time sampling
-  // accelerator — set_lambda()'s `if (hmat_)` keeps a null safe.
-  const bool store_hmat =
-      backend_ == SolverBackend::kIterativeHSSPrecond && hmat_ != nullptr;
-  w.u8(store_hmat ? 1 : 0);
-  if (store_hmat) serialize::write_hmatrix(w, *hmat_);
+  // The H operator survives compression only for PCG, which iterates on
+  // it; for kHSSRandomH compress() already released it.
+  w.u8(hmat_ != nullptr ? 1 : 0);
+  if (hmat_) serialize::write_hmatrix(w, *hmat_);
 }
 
 void HSSSolver::load_state(serialize::ByteReader& r,

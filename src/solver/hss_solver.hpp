@@ -30,8 +30,9 @@ class HSSSolver : public SolverBase {
                 const cluster::ClusterTree& tree) override;
   void factor() override;
   la::Vector solve(const la::Vector& b) override;
-  /// ULV multi-RHS solve; the task-DAG sweeps are RHS-split invariant, so
-  /// columns match one-at-a-time solve() calls bit for bit.
+  /// ULV multi-RHS solve; the solve's level sweeps are RHS-split invariant
+  /// (only the factor runs a task DAG), so columns match one-at-a-time
+  /// solve() calls bit for bit.
   la::Matrix solve(const la::Matrix& b) override;
   void set_lambda(double lambda) override;
   la::Vector matvec(const la::Vector& x) const override;

@@ -13,6 +13,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "cluster/ordering.hpp"
 #include "data/synthetic.hpp"
@@ -164,6 +165,47 @@ TEST(Contracts, ULVSolveDiagnosticNamesBothSizes) {
   EXPECT_TRUE(contains(msg, "solve")) << msg;
   EXPECT_TRUE(contains(msg, "64")) << msg;
   EXPECT_TRUE(contains(msg, "128")) << msg;
+}
+
+TEST(Contracts, HSSBuildersRefuseNonSymmetricOptions) {
+  // The HSS format is symmetric-only (V = U, B10 = B01^T are not stored);
+  // the two leftover knobs of the removed non-symmetric build must refuse
+  // by name instead of building something else.
+  khss::util::Rng rng(10);
+  khss::data::BlobSpec spec;
+  spec.n = 64;
+  spec.dim = 2;
+  auto ds = khss::data::make_blobs(spec, rng);
+  auto tree = khss::cluster::build_cluster_tree(
+      ds.points, khss::cluster::OrderingMethod::kTwoMeans, {});
+  la::Matrix permuted =
+      khss::cluster::apply_row_permutation(ds.points, tree.perm());
+  kn::KernelMatrix km(std::move(permuted),
+                      {kn::KernelType::kGaussian, 1.0, 2, 1.0}, 1.0);
+  khss::hss::ExtractFn extract = [&](const std::vector<int>& r,
+                                     const std::vector<int>& c) {
+    return km.extract(r, c);
+  };
+  khss::hss::SampleFn sample = [&](const la::Matrix& r) {
+    return km.multiply(r);
+  };
+
+  khss::hss::HSSOptions asym;
+  asym.symmetric = false;
+  std::string msg = capture<ut::ContractViolation>(
+      [&] { (void)khss::hss::build_hss_direct(tree, extract, asym); });
+  EXPECT_TRUE(contains(msg, "build_hss_direct: HSSOptions::symmetric must "
+                            "be true")) << msg;
+  msg = capture<ut::ContractViolation>([&] {
+    (void)khss::hss::build_hss_randomized(tree, extract, sample, {}, asym);
+  });
+  EXPECT_TRUE(contains(msg, "build_hss_randomized: HSSOptions::symmetric "
+                            "must be true")) << msg;
+
+  msg = capture<ut::ContractViolation>([&] {
+    (void)khss::hss::build_hss_randomized(tree, extract, sample, sample, {});
+  });
+  EXPECT_TRUE(contains(msg, "sample_transpose must be empty")) << msg;
 }
 
 TEST(Contracts, KRRLifecycleViolationsAreStateViolations) {

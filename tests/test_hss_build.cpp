@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "cluster/ordering.hpp"
 #include "data/synthetic.hpp"
@@ -56,6 +58,18 @@ la::Matrix nonsymmetric_structured(int n) {
     for (int j = 0; j < n; ++j) {
       a(i, j) = 1.0 / (1.0 + std::abs(i - 2 * j) / 4.0) +
                 (i == j ? 5.0 : 0.0) + 0.3 / (1.0 + std::abs(i - j));
+    }
+  }
+  return a;
+}
+
+// Symmetric counterpart: a smooth function of |i - j| plus a dominant
+// diagonal.
+la::Matrix symmetric_structured(int n) {
+  la::Matrix a(n, n);
+  for (int i = 0; i < n; ++i) {
+    for (int j = 0; j < n; ++j) {
+      a(i, j) = 1.0 / (1.0 + std::abs(i - j) / 4.0) + (i == j ? 5.0 : 0.0);
     }
   }
   return a;
@@ -121,6 +135,8 @@ TEST(HSSRandomized, PartiallyMatrixFreeKernelInterface) {
 }
 
 TEST(HSSRandomized, NonSymmetricMatrix) {
+  // The format stores B10 = B01^T, so a non-symmetric matrix is refused up
+  // front, naming the first entry whose mirror differs.
   const int n = 300;
   la::Matrix a = nonsymmetric_structured(n);
   la::Matrix pts(n, 1);
@@ -129,13 +145,28 @@ TEST(HSSRandomized, NonSymmetricMatrix) {
   copts.leaf_size = 16;
   cl::ClusterTree tree =
       cl::build_cluster_tree(pts, cl::OrderingMethod::kNatural, copts);
+  for (bool randomized : {true, false}) {
+    try {
+      (void)hs::build_hss_from_dense(a, tree, {}, randomized);
+      ADD_FAILURE() << "a non-symmetric matrix was accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("not symmetric"), std::string::npos) << msg;
+      EXPECT_NE(msg.find("A(1, 0) != A(0, 1)"), std::string::npos) << msg;
+    }
+  }
 
-  hs::HSSOptions opts;
-  opts.rtol = 1e-7;
-  opts.symmetric = false;
-  hs::HSSMatrix hss = hs::build_hss_from_dense(a, tree, opts);
-  EXPECT_TRUE(hss.validate());
-  EXPECT_LT(la::diff_f(hss.dense(), a), 1e-4 * la::norm_f(a));
+  // A one-ulp asymmetry far from the first row is still found, by position.
+  la::Matrix s = symmetric_structured(n);
+  s(200, 17) = std::nextafter(s(200, 17), 1e9);
+  try {
+    (void)hs::build_hss_from_dense(s, tree, {});
+    ADD_FAILURE() << "a one-ulp asymmetry was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("A(200, 17) != A(17, 200)"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(HSSRandomized, AdaptivityRestartsOnUndersampling) {
@@ -201,21 +232,20 @@ TEST(HSS, ToleranceTradesMemoryForAccuracy) {
 }
 
 TEST(HSS, SingleLeafTreeIsDense) {
-  la::Matrix a = nonsymmetric_structured(12);
+  la::Matrix a = symmetric_structured(12);
   la::Matrix pts(12, 1);
   for (int i = 0; i < 12; ++i) pts(i, 0) = i;
   cl::OrderingOptions copts;
   copts.leaf_size = 16;  // n < leaf => single node
   cl::ClusterTree tree =
       cl::build_cluster_tree(pts, cl::OrderingMethod::kNatural, copts);
-  hs::HSSOptions opts;
-  opts.symmetric = false;
-  hs::HSSMatrix hss = hs::build_hss_from_dense(a, tree, opts);
+  hs::HSSMatrix hss = hs::build_hss_from_dense(a, tree, {});
   EXPECT_LT(la::diff_f(hss.dense(), a), 1e-12);
 }
 
 TEST(HSS, BGeneratorsAreSubmatrices) {
-  // The ID-based construction promises B = A(Jrow, Jcol) exactly.
+  // The ID-based construction promises B01 = A(Jrow_l, Jrow_r) exactly
+  // (and B10 = B01^T = A(Jrow_r, Jrow_l) by symmetry).
   KernelCase kc = kernel_case(300, 4, 1.0, 0.5, 10);
   hs::HSSOptions opts;
   opts.rtol = 1e-6;
@@ -226,7 +256,8 @@ TEST(HSS, BGeneratorsAreSubmatrices) {
     const auto& r = hss.nodes()[nd.right];
     for (int i = 0; i < nd.b01.rows(); ++i) {
       for (int j = 0; j < nd.b01.cols(); ++j) {
-        EXPECT_NEAR(nd.b01(i, j), kc.dense(l.jrow[i], r.jcol[j]), 1e-12);
+        EXPECT_EQ(nd.b01(i, j), kc.dense(l.jrow[i], r.jrow[j]));
+        EXPECT_EQ(nd.b01(i, j), kc.dense(r.jrow[j], l.jrow[i]));
       }
     }
   }

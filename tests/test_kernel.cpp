@@ -15,6 +15,7 @@
 #include "kernel/kernel_spec.hpp"
 #include "la/blas.hpp"
 #include "la/chol.hpp"
+#include "la/gemm_kernel.hpp"
 #include "util/rng.hpp"
 
 namespace k = khss::kernel;
@@ -657,47 +658,66 @@ TEST(TileTransform, BulkPathsShareBitsWithExtract) {
   // inner products and the same tile transform, so they agree bit for bit
   // — the randomized HSS builder's extract-vs-multiply cancellation relies
   // on it.  n = 300 is not a multiple of the 8-lane width or 128-wide tiles.
+  // extract(cols, rows) is also the bitwise transpose of extract(rows,
+  // cols): the symmetric HSS format stores B01 only and applies B10 as its
+  // transpose, which is exact only because of this.  Dimension 300 exceeds
+  // the GEMM depth block (la::detail::kKC = 256), so there every inner
+  // product spans two K panels.
+  static_assert(la::detail::kKC < 300, "dimension 300 must span two K panels");
   const int n = 300;
   const double lambda = 0.7;
-  la::Matrix pts = random_points(n, 5, 34);
   k::KernelParams composite;
   composite.type = k::KernelType::kSum;
   composite.terms = {atom(k::KernelType::kGaussian, 1.2),
                      atom(k::KernelType::kMatern52, 0.9, /*weight=*/0.25)};
-  for (const k::KernelParams& params :
-       {atom(k::KernelType::kGaussian, 1.1), composite}) {
-    k::KernelMatrix km(pts, params, lambda);
-    std::vector<int> rows, cols;
-    for (int i = n - 1; i >= 0; i -= 2) rows.push_back(i);  // 150, reversed
-    for (int j = 0; j < n; j += 3) cols.push_back(j);       // 100
-    for (int j = 1; j < n; j += 7) cols.push_back(j);       // 43 more
-    la::Matrix e = km.extract(rows, cols);
+  std::vector<int> rows, cols;
+  for (int i = n - 1; i >= 0; i -= 2) rows.push_back(i);  // 150, reversed
+  for (int j = 0; j < n; j += 3) cols.push_back(j);       // 100
+  for (int j = 1; j < n; j += 7) cols.push_back(j);       // 43 more
+  // multiply() on identity columns e_j for every 11th extracted column j
+  // (13 of them): column q of the product is K(:, j) + lambda e_j.
+  std::vector<int> probe;
+  for (std::size_t c = 0; c < cols.size(); c += 11) probe.push_back(static_cast<int>(c));
+  la::Matrix unit(n, static_cast<int>(probe.size()));
+  for (std::size_t q = 0; q < probe.size(); ++q) unit(cols[probe[q]], static_cast<int>(q)) = 1.0;
 
-    // multiply() on identity columns e_j for every 11th extracted column j
-    // (13 of them): column q of the product is K(:, j) + lambda e_j.
-    std::vector<int> probe;
-    for (std::size_t c = 0; c < cols.size(); c += 11) probe.push_back(static_cast<int>(c));
-    la::Matrix unit(n, static_cast<int>(probe.size()));
-    for (std::size_t q = 0; q < probe.size(); ++q) unit(cols[probe[q]], static_cast<int>(q)) = 1.0;
-    const la::Matrix via_multiply = km.multiply(unit);
-    const la::Matrix full = km.dense();
-    const la::Matrix via_cross = km.cross(pts.rows_subset(rows));  // no lambda
-    for (std::size_t r = 0; r < rows.size(); ++r) {
-      const int ir = static_cast<int>(r);
-      for (std::size_t c = 0; c < cols.size(); ++c) {
-        const int i = rows[r], j = cols[c];
-        const double v = e(ir, static_cast<int>(c));
-        ASSERT_EQ(bits_of(v), bits_of(full(i, j)))
-            << k::kernel_name(params.type) << " dense at (" << i << "," << j << ")";
-        const double shifted = i == j ? via_cross(ir, j) + lambda : via_cross(ir, j);
-        ASSERT_EQ(bits_of(v), bits_of(shifted))
-            << k::kernel_name(params.type) << " cross at (" << i << "," << j << ")";
-      }
-      for (std::size_t q = 0; q < probe.size(); ++q) {
-        const int c = probe[q];
-        ASSERT_EQ(bits_of(e(ir, c)), bits_of(via_multiply(rows[r], static_cast<int>(q))))
-            << k::kernel_name(params.type) << " multiply at (" << rows[r] << ","
-            << cols[c] << ")";
+  for (const int dim : {5, 300}) {
+    const la::Matrix pts = random_points(n, dim, 34);
+    // Atom bandwidths grow like sqrt(dim), as point distances do.
+    const double h = std::sqrt(dim / 5.0);
+    for (const k::KernelParams& params :
+         {atom(k::KernelType::kGaussian, 1.1 * h),
+          atom(k::KernelType::kLaplacian, 2.0 * h),
+          atom(k::KernelType::kPolynomial, 2.0 * h),
+          atom(k::KernelType::kMatern32, 1.1 * h),
+          atom(k::KernelType::kMatern52, 0.9 * h),
+          atom(k::KernelType::kDot, 2.0 * h), composite}) {
+      k::KernelMatrix km(pts, params, lambda);
+      const std::string what = std::string(k::kernel_name(params.type)) +
+                               " dim " + std::to_string(dim);
+      la::Matrix e = km.extract(rows, cols);
+      const la::Matrix et = km.extract(cols, rows);
+      const la::Matrix via_multiply = km.multiply(unit);
+      const la::Matrix full = km.dense();
+      const la::Matrix via_cross = km.cross(pts.rows_subset(rows));  // no lambda
+      for (std::size_t r = 0; r < rows.size(); ++r) {
+        const int ir = static_cast<int>(r);
+        for (std::size_t c = 0; c < cols.size(); ++c) {
+          const int i = rows[r], j = cols[c];
+          const double v = e(ir, static_cast<int>(c));
+          ASSERT_EQ(bits_of(v), bits_of(et(static_cast<int>(c), ir)))
+              << what << " transposed extract at (" << i << "," << j << ")";
+          ASSERT_EQ(bits_of(v), bits_of(full(i, j)))
+              << what << " dense at (" << i << "," << j << ")";
+          const double shifted = i == j ? via_cross(ir, j) + lambda : via_cross(ir, j);
+          ASSERT_EQ(bits_of(v), bits_of(shifted))
+              << what << " cross at (" << i << "," << j << ")";
+        }
+        for (std::size_t q = 0; q < probe.size(); ++q) {
+          const int c = probe[q];
+          ASSERT_EQ(bits_of(e(ir, c)), bits_of(via_multiply(rows[r], static_cast<int>(q))))
+              << what << " multiply at (" << rows[r] << "," << cols[c] << ")";
+        }
       }
     }
   }

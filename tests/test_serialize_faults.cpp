@@ -263,6 +263,20 @@ TEST_F(SerializeFaults, SchemaV1IsRefusedWithAMigrationHint) {
                     "predates the kernel-zoo");
 }
 
+TEST_F(SerializeFaults, SchemaV2IsRefusedWithAMigrationHint) {
+  // Version 2 stored each HSS node's V, B10 and Jcol beside U, B01 and
+  // Jrow; version 3 stores the symmetric generator set only.  A v2 state
+  // section would misparse, so the loader refuses it by name.
+  expect_load_error(with_patched_meta(hss(),
+                                      [](std::string& meta) {
+                                        meta[0] = 2;
+                                        meta[1] = 0;
+                                        meta[2] = 0;
+                                        meta[3] = 0;
+                                      }),
+                    "predates the symmetric HSS node layout");
+}
+
 TEST_F(SerializeFaults, UnknownKernelTypeTagIsRefused) {
   // A family tag this build has never heard of (e.g. from a newer writer)
   // must be named in the error, never silently mapped onto a known family.

@@ -39,11 +39,11 @@ hs::HSSMatrix build_test_hss(int n, std::uint64_t seed) {
 }  // namespace
 
 TEST(UlvFlops, PositiveAndCubicGrowth) {
-  EXPECT_GT(sim::ulv_node_flops(16, 8, 8), 0.0);
-  EXPECT_EQ(sim::ulv_node_flops(0, 0, 0), 0.0);
+  EXPECT_GT(sim::ulv_node_flops(16, 8), 0.0);
+  EXPECT_EQ(sim::ulv_node_flops(0, 0), 0.0);
   // Doubling m with fixed ranks grows at least 4x (super-quadratic terms).
-  const double f1 = sim::ulv_node_flops(32, 8, 8);
-  const double f2 = sim::ulv_node_flops(64, 8, 8);
+  const double f1 = sim::ulv_node_flops(32, 8);
+  const double f2 = sim::ulv_node_flops(64, 8);
   EXPECT_GT(f2, 4.0 * f1);
 }
 

@@ -180,31 +180,6 @@ TEST(ULV, SolveInCompressedOperatorIsExact) {
   EXPECT_LT(ulv.relative_residual(x, b), 1e-9);
 }
 
-TEST(ULV, NonSymmetricSystem) {
-  const int n = 200;
-  la::Matrix a(n, n);
-  for (int i = 0; i < n; ++i) {
-    for (int j = 0; j < n; ++j) {
-      a(i, j) = 1.0 / (1.0 + std::abs(i - 2 * j) / 3.0) + (i == j ? 4.0 : 0.0);
-    }
-  }
-  la::Matrix pts(n, 1);
-  for (int i = 0; i < n; ++i) pts(i, 0) = i;
-  cl::ClusterTree tree =
-      cl::build_cluster_tree(pts, cl::OrderingMethod::kNatural, {});
-  hs::HSSOptions opts;
-  opts.rtol = 1e-9;
-  opts.symmetric = false;
-  hs::HSSMatrix hss = hs::build_hss_from_dense(a, tree, opts);
-  hs::ULVFactorization ulv(hss);
-
-  la::Vector b = random_vector(n, 7);
-  la::Vector x = ulv.solve(b);
-  la::LUFactor lu(a);
-  la::Vector xref = lu.solve(b);
-  for (int i = 0; i < n; ++i) EXPECT_NEAR(x[i], xref[i], 1e-5);
-}
-
 TEST(ULV, DiagonalShiftThenRefactor) {
   // The lambda-update path: shift the HSS diagonal, refactor, solve again.
   Case c = kernel_case(256, 4, 1.0, 1.0, 8);
