@@ -3,13 +3,15 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <cfloat>
+#include <charconv>
 #include <climits>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <map>
-#include <sstream>
 #include <stdexcept>
+#include <system_error>
 
 namespace khss::data {
 
@@ -25,39 +27,35 @@ namespace {
                            " '" + token + "'");
 }
 
-// Strict full-token double: rejects empty tokens, trailing junk ("2.5.3",
-// "1e9x") and out-of-range magnitudes, which std::stod alone accepts or
-// reports without context.
-double parse_double_token(const std::string& tok, const std::string& path,
-                          int line, const std::string& what) {
-  try {
-    std::size_t pos = 0;
-    const double v = std::stod(tok, &pos);
-    while (pos < tok.size() &&
-           std::isspace(static_cast<unsigned char>(tok[pos]))) {
-      ++pos;
-    }
-    if (pos != tok.size()) parse_error(path, line, what, tok);
-    return v;
-  } catch (const std::invalid_argument&) {
-    parse_error(path, line, what, tok);
-  } catch (const std::out_of_range&) {
-    parse_error(path, line, what + " (out of range)", tok);
-  }
-}
-
-// Allocation-free variants of the two token parsers, used by the bulk
-// loaders: they parse a [begin, end) slice of the line buffer directly and
-// only materialize the token string on the error path.  Semantics match the
-// std::sto* versions above exactly — leading whitespace accepted, trailing
-// whitespace accepted for doubles (CSV cells like " 2.5 ") but not ints,
-// trailing junk and out-of-range magnitudes rejected with the same messages.
+// Allocation-free token parsers used by the loaders: they parse a
+// [begin, end) slice of the line buffer directly and only materialize the
+// token string on the error path.  Leading whitespace is accepted, trailing
+// whitespace is accepted for doubles (CSV cells like " 2.5 ") but not ints,
+// trailing junk ("2.5.3", "1e9x") and out-of-range magnitudes are rejected.
 // `end` must point at a parse-stopping character (delimiter, colon,
 // whitespace or the line's NUL terminator), so strtod/strtol cannot run past
 // the slice.
+//
+// A double cell takes std::from_chars' value (correctly rounded, like
+// strtod, but several times faster) only when that call consumed the whole
+// cell without error and the value is finite and either zero or larger
+// than DBL_MIN in magnitude.  Every other cell goes to strtod, which stays
+// the arbiter of what is accepted and refused: from_chars refuses a leading
+// '+' or whitespace and reads only the "0" of "0x1p3" (the whole-cell
+// test), reports overflow and underflow as errors with the value left at
+// zero (the errc test), drops NaN payloads (the finiteness test), and
+// returns subnormals and values that round up to DBL_MIN where strtod
+// reports ERANGE, which the loaders refuse (the magnitude test, strict
+// because such a value equals DBL_MIN).
 double parse_double_range(const char* begin, const char* end,
                           const std::string& path, int line,
                           const std::string& what) {
+  double fast = 0.0;
+  const auto [ptr, ec] = std::from_chars(begin, end, fast);
+  if (ec == std::errc{} && ptr == end && std::isfinite(fast) &&
+      (fast == 0.0 || std::fabs(fast) > DBL_MIN)) {
+    return fast;
+  }
   errno = 0;
   char* stop = nullptr;
   const double v = std::strtod(begin, &stop);
@@ -108,6 +106,52 @@ std::size_t count_data_lines(std::ifstream& in) {
   return newlines + (ends_with_newline ? 0 : 1);
 }
 
+// The delimited-text row loop shared by load_csv and load_matrix_csv.
+// Skips '#' comment lines, empty lines and empty cells, parses every cell
+// with parse_double_range and refuses a row whose width differs from the
+// first row's (the message names `who`).  Calls on_row(cells) for each data
+// row and stops early when it returns false.
+template <typename OnRow>
+void read_csv_rows(std::ifstream& in, const std::string& path, char delimiter,
+                   const char* who, OnRow&& on_row) {
+  std::string line;
+  std::vector<double> vals;  // reused per row
+  std::size_t width = 0;
+  int lineno = 0;
+  while (std::getline(in, line)) {
+    ++lineno;
+    if (line.empty() || line[0] == '#') continue;
+    vals.clear();
+    // Cells parsed straight out of the line buffer.  The cell terminator is
+    // temporarily NUL-ed so strtod can never run past a cell even with an
+    // exotic delimiter.
+    char* cb = line.data();
+    char* const lend = line.data() + line.size();
+    while (cb <= lend) {
+      char* ce = std::find(cb, lend, delimiter);
+      if (ce != cb) {
+        const char saved = *ce;
+        *ce = '\0';
+        vals.push_back(parse_double_range(cb, ce, path, lineno, "bad CSV cell"));
+        *ce = saved;
+      }
+      if (ce == lend) break;
+      cb = ce + 1;
+    }
+    if (vals.empty()) continue;
+    if (width == 0) {
+      width = vals.size();
+    } else if (vals.size() != width) {
+      throw std::runtime_error(std::string(who) + ": " + path + ":" +
+                               std::to_string(lineno) + ": ragged row (" +
+                               std::to_string(vals.size()) +
+                               " columns, expected " + std::to_string(width) +
+                               ")");
+    }
+    if (!on_row(vals)) break;
+  }
+}
+
 // Map arbitrary label values (e.g. {-1, +1} or {1..26}) to dense ids 0..c-1,
 // preserving sorted order of the original values.
 void densify_labels(std::vector<double> raw, Dataset& out) {
@@ -149,46 +193,21 @@ Dataset load_csv(const std::string& path, char delimiter, long max_rows) {
   std::vector<double> raw_labels;
   raw_labels.reserve(expected);
 
-  std::string line;
-  std::vector<double> vals;  // reused per row
   int dim = -1;
-  int lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    if (line.empty() || line[0] == '#') continue;
-    vals.clear();
-    // Cells parsed straight out of the line buffer.  The cell terminator is
-    // temporarily NUL-ed so strtod can never run past a cell even with an
-    // exotic delimiter; empty cells are skipped like the old
-    // getline-on-delimiter loop did.
-    char* cb = line.data();
-    char* const lend = line.data() + line.size();
-    while (cb <= lend) {
-      char* ce = std::find(cb, lend, delimiter);
-      if (ce != cb) {
-        const char saved = *ce;
-        *ce = '\0';
-        vals.push_back(parse_double_range(cb, ce, path, lineno, "bad CSV cell"));
-        *ce = saved;
-      }
-      if (ce == lend) break;
-      cb = ce + 1;
-    }
-    if (vals.empty()) continue;
-    if (dim < 0) {
-      dim = static_cast<int>(vals.size()) - 1;
-      if (dim <= 0) throw std::runtime_error("load_csv: need >= 2 columns");
-      flat.reserve(expected * static_cast<std::size_t>(dim));
-    } else if (static_cast<int>(vals.size()) != dim + 1) {
-      throw std::runtime_error("load_csv: " + path + ":" +
-                               std::to_string(lineno) + ": ragged row (" +
-                               std::to_string(vals.size()) + " columns, expected " +
-                               std::to_string(dim + 1) + ")");
-    }
-    raw_labels.push_back(vals[0]);
-    flat.insert(flat.end(), vals.begin() + 1, vals.end());
-    if (max_rows > 0 && static_cast<long>(raw_labels.size()) >= max_rows) break;
-  }
+  read_csv_rows(in, path, delimiter, "load_csv",
+                [&](const std::vector<double>& vals) {
+                  if (dim < 0) {
+                    dim = static_cast<int>(vals.size()) - 1;
+                    if (dim <= 0) {
+                      throw std::runtime_error("load_csv: need >= 2 columns");
+                    }
+                    flat.reserve(expected * static_cast<std::size_t>(dim));
+                  }
+                  raw_labels.push_back(vals[0]);
+                  flat.insert(flat.end(), vals.begin() + 1, vals.end());
+                  return max_rows <= 0 ||
+                         static_cast<long>(raw_labels.size()) < max_rows;
+                });
   if (raw_labels.empty()) {
     throw std::runtime_error("load_csv: no data in " + path);
   }
@@ -339,36 +358,21 @@ la::Matrix load_matrix_csv(const std::string& path, char delimiter) {
   std::ifstream in(path);
   if (!in) throw std::runtime_error("load_matrix_csv: cannot open " + path);
 
-  std::vector<std::vector<double>> rows;
-  std::string line;
-  int lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    if (line.empty() || line[0] == '#') continue;
-    std::vector<double> vals;
-    std::stringstream ss(line);
-    std::string cell;
-    while (std::getline(ss, cell, delimiter)) {
-      if (cell.empty()) continue;
-      vals.push_back(parse_double_token(cell, path, lineno, "bad CSV cell"));
-    }
-    if (vals.empty()) continue;
-    if (!rows.empty() && vals.size() != rows.front().size()) {
-      throw std::runtime_error(
-          "load_matrix_csv: " + path + ":" + std::to_string(lineno) +
-          ": ragged row (" + std::to_string(vals.size()) +
-          " columns, expected " + std::to_string(rows.front().size()) + ")");
-    }
-    rows.push_back(std::move(vals));
-  }
-  if (rows.empty()) {
+  std::vector<double> flat;  // row-major
+  int rows = 0;
+  int cols = 0;
+  read_csv_rows(in, path, delimiter, "load_matrix_csv",
+                [&](const std::vector<double>& vals) {
+                  cols = static_cast<int>(vals.size());
+                  flat.insert(flat.end(), vals.begin(), vals.end());
+                  ++rows;
+                  return true;
+                });
+  if (rows == 0) {
     throw std::runtime_error("load_matrix_csv: no data in " + path);
   }
-  la::Matrix m(static_cast<int>(rows.size()),
-               static_cast<int>(rows.front().size()));
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    std::copy(rows[i].begin(), rows[i].end(), m.row(static_cast<int>(i)));
-  }
+  la::Matrix m(rows, cols);
+  std::copy(flat.begin(), flat.end(), m.data());
   return m;
 }
 

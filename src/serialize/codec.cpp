@@ -1,13 +1,15 @@
 #include "serialize/codec.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 namespace khss::serialize {
 
 namespace {
 
-// Encode/decode through explicit shifts: the on-disk order is little-endian
-// by construction, independent of host endianness, with no aliasing casts.
+// Single values are encoded and decoded through explicit shifts: the
+// on-disk order is little-endian by construction, independent of host
+// endianness, with no aliasing casts.
 void put_le(std::string& buf, std::uint64_t v, int bytes) {
   for (int i = 0; i < bytes; ++i) {
     buf.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
@@ -23,6 +25,32 @@ std::uint64_t get_le(const char* p, int bytes) {
   return v;
 }
 
+// Arrays move with one memcpy; the host's byte order is their on-disk order
+// unless the host is big-endian, where each element's bytes are reversed in
+// place.  The test folds to a constant.
+bool big_endian_host() {
+  const std::uint16_t one = 1;
+  unsigned char first = 0;
+  std::memcpy(&first, &one, 1);
+  return first == 0;
+}
+
+void swap_elements(char* p, std::size_t count, std::size_t width) {
+  for (std::size_t i = 0; i < count; ++i, p += width) {
+    std::reverse(p, p + width);
+  }
+}
+
+void put_array(std::string& buf, const void* src, std::size_t count,
+               std::size_t width) {
+  const std::size_t at = buf.size();
+  buf.append(static_cast<const char*>(src), count * width);
+  if (big_endian_host()) swap_elements(buf.data() + at, count, width);
+}
+
+static_assert(sizeof(int) == 4, "32-bit int expected");
+static_assert(sizeof(double) == 8, "IEEE-754 double expected");
+
 }  // namespace
 
 void ByteWriter::u32(std::uint32_t v) { put_le(buf_, v, 4); }
@@ -30,7 +58,6 @@ void ByteWriter::u64(std::uint64_t v) { put_le(buf_, v, 8); }
 
 void ByteWriter::f64(double v) {
   std::uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(v), "IEEE-754 double expected");
   std::memcpy(&bits, &v, sizeof(bits));
   u64(bits);
 }
@@ -42,19 +69,18 @@ void ByteWriter::str(std::string_view s) {
 
 void ByteWriter::vec_i32(const std::vector<int>& v) {
   u64(v.size());
-  for (int x : v) i32(x);
+  put_array(buf_, v.data(), v.size(), 4);
 }
 
 void ByteWriter::vec_f64(const std::vector<double>& v) {
   u64(v.size());
-  for (double x : v) f64(x);
+  put_array(buf_, v.data(), v.size(), 8);
 }
 
 void ByteWriter::matrix(const la::Matrix& m) {
   i32(m.rows());
   i32(m.cols());
-  const double* p = m.data();
-  for (std::size_t i = 0; i < m.size(); ++i) f64(p[i]);
+  put_array(buf_, m.data(), m.size(), 8);
 }
 
 void ByteReader::fail(const std::string& what) const {
@@ -67,6 +93,13 @@ void ByteReader::need(std::size_t n, const char* what) const {
   if (data_.size() - pos_ < n) {
     fail(std::string("truncated payload reading ") + what);
   }
+}
+
+void ByteReader::take_array(void* dst, std::size_t count, std::size_t width) {
+  const std::size_t bytes = count * width;
+  if (bytes != 0) std::memcpy(dst, data_.data() + pos_, bytes);
+  if (big_endian_host()) swap_elements(static_cast<char*>(dst), count, width);
+  pos_ += bytes;
 }
 
 std::uint8_t ByteReader::u8() {
@@ -110,7 +143,7 @@ std::vector<int> ByteReader::vec_i32() {
   // allocating: a corrupted length must not turn into a giant allocation.
   if (count > remaining() / 4) fail("int array length exceeds payload");
   std::vector<int> v(count);
-  for (std::uint64_t i = 0; i < count; ++i) v[i] = i32();
+  take_array(v.data(), count, 4);
   return v;
 }
 
@@ -118,7 +151,7 @@ std::vector<double> ByteReader::vec_f64() {
   const std::uint64_t count = u64();
   if (count > remaining() / 8) fail("double array length exceeds payload");
   std::vector<double> v(count);
-  for (std::uint64_t i = 0; i < count; ++i) v[i] = f64();
+  take_array(v.data(), count, 8);
   return v;
 }
 
@@ -133,8 +166,7 @@ la::Matrix ByteReader::matrix() {
       static_cast<std::uint64_t>(rows) * static_cast<std::uint64_t>(cols);
   if (count > remaining() / 8) fail("matrix payload exceeds section size");
   la::Matrix m(rows, cols);
-  double* p = m.data();
-  for (std::uint64_t i = 0; i < count; ++i) p[i] = f64();
+  take_array(m.data(), count, 8);
   return m;
 }
 

@@ -3,12 +3,13 @@
 //
 // Everything the container format (container.hpp) stores goes through these
 // two classes.  The on-disk encoding is fixed little-endian regardless of the
-// host (DESIGN.md "Model container format": the byteswap happens here on
-// big-endian machines, so files are portable), doubles are raw IEEE-754 bit
-// patterns (bit-exact round trip, the property the serving tier's
-// bit-identical-scores contract rests on), and every read is bounds-checked:
-// a truncated or corrupted payload throws SerializeError with the reader's
-// context string and byte offset instead of reading past the buffer.
+// host (DESIGN.md "Model container format", Endianness: arrays move with one
+// memcpy, and the byteswap happens here only on big-endian machines, so files
+// are portable), doubles are raw IEEE-754 bit patterns (bit-exact round trip,
+// the property the serving tier's bit-identical-scores contract rests on),
+// and every read is bounds-checked: a truncated or corrupted payload throws
+// SerializeError with the reader's context string and byte offset instead of
+// reading past the buffer.
 
 #include <cstdint>
 #include <stdexcept>
@@ -85,6 +86,9 @@ class ByteReader {
 
  private:
   void need(std::size_t n, const char* what) const;
+  /// Copies `count` elements of `width` bytes into `dst`; the caller has
+  /// checked that the payload holds them.
+  void take_array(void* dst, std::size_t count, std::size_t width);
 
   std::string_view data_;
   std::size_t pos_ = 0;

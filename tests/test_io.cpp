@@ -1,13 +1,22 @@
 // Round-trip and error-path tests for data/io (CSV and LIBSVM).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <fstream>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "data/cache.hpp"
 #include "data/io.hpp"
+#include "data/synthetic.hpp"
 #include "serialize/codec.hpp"
+#include "util/rng.hpp"
 
 namespace data = khss::data;
 
@@ -30,6 +39,27 @@ class ScratchFile {
   std::string path_;
 };
 
+// CSV fixtures shared by the loader tests and the differential pin below.
+// Awkward values: negatives, tiny magnitudes, and non-terminating binary
+// fractions that expose insufficient output precision.
+const char kRoundTripCsv[] =
+    "# label, x0, x1, x2\n"
+    "1,0.1,-2.5e-07,0.3333333333333333\n"
+    "\n"
+    "-1,1000000.25,0,-0.1\n"
+    "1,-3,2.2250738585072014e-308,2\n";
+const char kCrossCsv[] = "5,1.5,0,-2\n7,0,3.25,0\n";
+const char kCapCsv[] =
+    "0,1.5,2.5\n"
+    "1,3.5,4.5\n"
+    "2,5.5,6.5\n"
+    "1,7.5,8.5\n";
+const char kCachedCsv[] =
+    "0,0.1,-2.5e-07\n"
+    "1,0.3333333333333333,2.2250738585072014e-308\n"
+    "0,-3,1000000.25\n";
+const char kCorruptSidecarCsv[] = "0,1.5\n1,2.5\n";
+
 void expect_datasets_equal(const data::Dataset& a, const data::Dataset& b) {
   ASSERT_EQ(a.n(), b.n());
   ASSERT_EQ(a.dim(), b.dim());
@@ -47,14 +77,7 @@ void expect_datasets_equal(const data::Dataset& a, const data::Dataset& b) {
 
 TEST(IoCsv, ReadWriteReadRoundTrip) {
   ScratchFile first("rt1.csv"), second("rt2.csv");
-  // Awkward values: negatives, tiny magnitudes, and non-terminating binary
-  // fractions that expose insufficient output precision.
-  first.write(
-      "# label, x0, x1, x2\n"
-      "1,0.1,-2.5e-07,0.3333333333333333\n"
-      "\n"
-      "-1,1000000.25,0,-0.1\n"
-      "1,-3,2.2250738585072014e-308,2\n");
+  first.write(kRoundTripCsv);
   data::Dataset loaded = data::load_csv(first.path());
   ASSERT_EQ(loaded.n(), 3);
   ASSERT_EQ(loaded.dim(), 3);
@@ -202,7 +225,7 @@ TEST(IoLibsvm, BadValueAndIndexAreRuntimeErrorsWithContext) {
 
 TEST(IoCross, CsvAndLibsvmAgree) {
   ScratchFile csv("cross.csv"), svm("cross.svm");
-  csv.write("5,1.5,0,-2\n7,0,3.25,0\n");
+  csv.write(kCrossCsv);
   data::Dataset from_csv = data::load_csv(csv.path());
   data::save_libsvm(from_csv, svm.path());
   data::Dataset from_svm = data::load_libsvm(svm.path(), from_csv.dim());
@@ -290,13 +313,23 @@ TEST(IoMatrixCsv, RoundTripsBitExactly) {
 }
 
 TEST(IoMatrixCsv, RejectsRaggedAndEmptyInput) {
+  // Both refusals name the loader, not the row loop it shares with load_csv.
+  const auto expect_refused = [](const std::string& path) {
+    try {
+      data::load_matrix_csv(path);
+      ADD_FAILURE() << "load_matrix_csv accepted " << path;
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("load_matrix_csv: ", 0), 0u)
+          << e.what();
+    }
+  };
   ScratchFile ragged("ragged.csv");
   ragged.write("1,2,3\n4,5\n");
-  EXPECT_THROW(data::load_matrix_csv(ragged.path()), std::runtime_error);
+  expect_refused(ragged.path());
 
   ScratchFile empty("empty.csv");
   empty.write("# only a comment\n");
-  EXPECT_THROW(data::load_matrix_csv(empty.path()), std::runtime_error);
+  expect_refused(empty.path());
 
   EXPECT_THROW(data::load_matrix_csv(testing::TempDir() + "khss_io_missing"),
                std::runtime_error);
@@ -306,11 +339,7 @@ TEST(IoMatrixCsv, RejectsRaggedAndEmptyInput) {
 
 TEST(IoCsv, MaxRowsCapsTheLoad) {
   ScratchFile f("cap.csv");
-  f.write(
-      "0,1.5,2.5\n"
-      "1,3.5,4.5\n"
-      "2,5.5,6.5\n"
-      "1,7.5,8.5\n");
+  f.write(kCapCsv);
   data::Dataset all = data::load_csv(f.path());
   ASSERT_EQ(all.n(), 4);
   EXPECT_EQ(all.num_classes, 3);
@@ -354,10 +383,7 @@ TEST(IoLibsvm, MaxRowsCapsTheLoad) {
 TEST(IoCached, CsvSidecarIsWrittenReusedAndBitExact) {
   ScratchFile f("cached.csv");
   ScratchFile side("cached.csv.khds");  // cleanup via the same scratch dir
-  f.write(
-      "0,0.1,-2.5e-07\n"
-      "1,0.3333333333333333,2.2250738585072014e-308\n"
-      "0,-3,1000000.25\n");
+  f.write(kCachedCsv);
   data::Dataset text = data::load_csv(f.path());
 
   // First load parses the text and writes the sidecar...
@@ -374,7 +400,7 @@ TEST(IoCached, CsvSidecarIsWrittenReusedAndBitExact) {
 TEST(IoCached, CorruptSidecarThrowsInsteadOfSilentlyReparsing) {
   ScratchFile f("corrupt.csv");
   ScratchFile side("corrupt.csv.khds");
-  f.write("0,1.5\n1,2.5\n");
+  f.write(kCorruptSidecarCsv);
   (void)data::load_csv_cached(f.path());  // writes the sidecar
 
   // Flip a payload byte; the sidecar is still "fresh", so the cached load
@@ -405,4 +431,202 @@ TEST(IoCached, LibsvmSidecarRoundTrips) {
   data::Dataset text = data::load_libsvm(f.path());
   expect_datasets_equal(data::load_libsvm_cached(f.path()), text);  // writes
   expect_datasets_equal(data::load_libsvm_cached(f.path()), text);  // reads
+}
+
+// ------------------------------------------------- non-regular input files
+
+TEST(IoCsv, DirectoryPathIsRefused) {
+  const std::string dir = testing::TempDir();
+  EXPECT_THROW(data::load_csv(dir), std::runtime_error);
+  EXPECT_THROW(data::load_matrix_csv(dir), std::runtime_error);
+  EXPECT_THROW(data::load_libsvm(dir), std::runtime_error);
+}
+
+// ------------------------------------------- cell parser differential pin
+//
+// The loaders take a cell's value from std::from_chars only where it agrees
+// with strtod; everything else goes to strtod.  These tests hold them to a
+// copy of the strtod-only cell parser: the same bits, or a refusal with the
+// same message.
+
+namespace {
+
+struct ReferenceCell {
+  bool ok = false;
+  double value = 0.0;
+  std::string error;  // the loader's message after "<path>:<line>: "
+};
+
+ReferenceCell reference_cell(const std::string& token) {
+  ReferenceCell r;
+  const char* begin = token.c_str();
+  const char* end = begin + token.size();
+  errno = 0;
+  char* stop = nullptr;
+  const double v = std::strtod(begin, &stop);
+  const bool out_of_range = errno == ERANGE;
+  const bool parsed = stop != begin;
+  while (parsed && stop < end &&
+         std::isspace(static_cast<unsigned char>(*stop))) {
+    ++stop;
+  }
+  if (!parsed || stop != end) {
+    r.error = "bad CSV cell '" + token + "'";
+  } else if (out_of_range) {
+    r.error = "bad CSV cell (out of range) '" + token + "'";
+  } else {
+    r.ok = true;
+    r.value = v;
+  }
+  return r;
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+// The data rows of a valid CSV text, split as the loaders split them ('#'
+// and empty lines and empty cells skipped) and parsed by reference_cell.
+std::vector<std::vector<double>> reference_rows(const std::string& text) {
+  std::vector<std::vector<double>> rows;
+  std::istringstream in(text);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty() || line[0] == '#') continue;
+    std::vector<double> row;
+    std::size_t at = 0;
+    while (at <= line.size()) {
+      const std::size_t next = std::min(line.find(',', at), line.size());
+      if (next != at) {
+        const ReferenceCell c = reference_cell(line.substr(at, next - at));
+        EXPECT_TRUE(c.ok) << c.error;
+        row.push_back(c.value);
+      }
+      at = next + 1;
+    }
+    if (!row.empty()) rows.push_back(row);
+  }
+  return rows;
+}
+
+// load_matrix_csv must reproduce every reference cell bit for bit, and
+// load_csv every feature and (densified) label.
+void expect_loaders_match_reference(const std::string& text,
+                                    const std::string& name) {
+  SCOPED_TRACE(name);
+  ScratchFile f("ref_" + name + ".csv");
+  f.write(text);
+  const std::vector<std::vector<double>> rows = reference_rows(text);
+  ASSERT_FALSE(rows.empty());
+  const std::size_t width = rows.front().size();
+
+  const khss::la::Matrix m = data::load_matrix_csv(f.path());
+  ASSERT_EQ(static_cast<std::size_t>(m.rows()), rows.size());
+  ASSERT_EQ(static_cast<std::size_t>(m.cols()), width);
+  for (int i = 0; i < m.rows(); ++i) {
+    for (int j = 0; j < m.cols(); ++j) {
+      EXPECT_TRUE(same_bits(m(i, j), rows[i][j]))
+          << "at (" << i << "," << j << ")";
+    }
+  }
+
+  if (width < 2) return;
+  const data::Dataset d = data::load_csv(f.path());
+  std::vector<double> classes;
+  for (const auto& row : rows) classes.push_back(row[0]);
+  std::sort(classes.begin(), classes.end());
+  classes.erase(std::unique(classes.begin(), classes.end()), classes.end());
+  ASSERT_EQ(static_cast<std::size_t>(d.n()), rows.size());
+  ASSERT_EQ(static_cast<std::size_t>(d.dim()), width - 1);
+  EXPECT_EQ(static_cast<std::size_t>(d.num_classes), classes.size());
+  for (int i = 0; i < d.n(); ++i) {
+    const auto cls =
+        std::lower_bound(classes.begin(), classes.end(), rows[i][0]);
+    EXPECT_EQ(d.labels[i], cls - classes.begin()) << "row " << i;
+    for (int j = 0; j < d.dim(); ++j) {
+      EXPECT_TRUE(same_bits(d.points(i, j), rows[i][j + 1]))
+          << "at (" << i << "," << j << ")";
+    }
+  }
+}
+
+std::string read_text(const std::string& path) {
+  std::ifstream in(path);
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+}  // namespace
+
+TEST(IoCellParser, EdgeTokensMatchTheStrtodReference) {
+  // Cells where std::from_chars and strtod differ (a leading sign or
+  // space, hex, NaN payloads, subnormals, a value that rounds up to
+  // DBL_MIN), infinities, out-of-range magnitudes, plain values and
+  // malformed cells.
+  const char* const tokens[] = {
+      "1.5", "+1.5", " 2.5", "2.5 ", "0x1p3", "inf", "-Infinity", "nan",
+      "nan(123)", "1e999", "-1e999", "1e-400", "1e-310", "4.9e-324",
+      "2.2250738585072012e-308", "2.2250738585072014e-308", "0e99999", "-0",
+      ".5", "5.", "1e", "e5", "1_0", "2.5.3"};
+  ScratchFile f("cell.csv");
+  for (const std::string token : tokens) {
+    SCOPED_TRACE("token '" + token + "'");
+    f.write("1," + token + "\n");
+    const ReferenceCell ref = reference_cell(token);
+    try {
+      const data::Dataset d = data::load_csv(f.path());
+      ASSERT_TRUE(ref.ok) << "load_csv accepted it; the reference refuses: "
+                          << ref.error;
+      ASSERT_EQ(d.n(), 1);
+      ASSERT_EQ(d.dim(), 1);
+      EXPECT_TRUE(same_bits(d.points(0, 0), ref.value))
+          << d.points(0, 0) << " vs " << ref.value;
+    } catch (const std::runtime_error& e) {
+      EXPECT_FALSE(ref.ok) << "load_csv refused it: " << e.what();
+      EXPECT_EQ(std::string(e.what()), f.path() + ":1: " + ref.error);
+    }
+    try {
+      const khss::la::Matrix m = data::load_matrix_csv(f.path());
+      ASSERT_TRUE(ref.ok) << "load_matrix_csv accepted it";
+      ASSERT_EQ(m.cols(), 2);
+      EXPECT_TRUE(same_bits(m(0, 1), ref.value));
+    } catch (const std::runtime_error& e) {
+      EXPECT_FALSE(ref.ok) << "load_matrix_csv refused it: " << e.what();
+      EXPECT_EQ(std::string(e.what()), f.path() + ":1: " + ref.error);
+    }
+  }
+}
+
+TEST(IoCellParser, EveryCsvFixtureMatchesTheStrtodReference) {
+  expect_loaders_match_reference(kRoundTripCsv, "roundtrip");
+  expect_loaders_match_reference(kCrossCsv, "cross");
+  expect_loaders_match_reference(kCapCsv, "cap");
+  expect_loaders_match_reference(kCachedCsv, "cached");
+  expect_loaders_match_reference(kCorruptSidecarCsv, "corrupt_sidecar");
+
+  // The files the savers write in the round-trip tests: the reloaded
+  // round-trip fixture, IoMatrixCsv's matrix and test_dataset's blobs.
+  ScratchFile first("ref_rt1.csv"), saved("ref_saved.csv");
+  first.write(kRoundTripCsv);
+  data::save_csv(data::load_csv(first.path()), saved.path());
+  expect_loaders_match_reference(read_text(saved.path()), "saved_roundtrip");
+
+  khss::la::Matrix m(3, 2);
+  m(0, 0) = 0.1;
+  m(0, 1) = -2.5e-07;
+  m(1, 0) = 0.3333333333333333;
+  m(1, 1) = 2.2250738585072014e-308;
+  m(2, 0) = -1000000.25;
+  m(2, 1) = 42.0;
+  data::save_matrix_csv(m, saved.path());
+  expect_loaders_match_reference(read_text(saved.path()), "saved_matrix");
+
+  khss::util::Rng rng(8);
+  data::BlobSpec spec;
+  spec.n = 50;
+  spec.dim = 3;
+  spec.num_classes = 4;
+  data::save_csv(data::make_blobs(spec, rng), saved.path());
+  expect_loaders_match_reference(read_text(saved.path()), "saved_blobs");
 }

@@ -8,10 +8,12 @@
 // out-of-bounds read on any of these inputs fails loudly there too.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "data/cache.hpp"
@@ -610,4 +612,65 @@ TEST(DatasetCacheFaults, OutOfRangeLabelIsRefused) {
         << e.what();
   }
   std::remove(path.c_str());
+}
+
+// ------------------------------------------------------ non-regular files
+
+TEST(NonRegularFiles, DirectoryIsRefusedByTheContainerLoaders) {
+  // A directory opens for reading but has no bytes to read; both loaders
+  // must refuse it with a SerializeError naming the path.
+  const std::string dir = testing::TempDir();
+  const auto expect_refused = [&](const char* who, const auto& load) {
+    try {
+      load();
+      ADD_FAILURE() << who << " accepted directory " << dir;
+    } catch (const serialize::SerializeError& e) {
+      EXPECT_NE(std::string(e.what()).find(dir), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_refused("load_model", [&] { (void)serialize::load_model(dir); });
+  expect_refused("load_dataset", [&] { (void)data::load_dataset(dir); });
+}
+
+// ------------------------------------------------------------- CRC-64 pin
+
+namespace {
+
+// The per-byte table CRC-64/XZ every container so far was written with.
+std::uint64_t reference_crc64(std::string_view data) {
+  std::uint64_t table[256];
+  for (std::uint64_t i = 0; i < 256; ++i) {
+    std::uint64_t crc = i;
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc & 1) ? (crc >> 1) ^ 0xC96C5795D7870F42ULL : crc >> 1;
+    }
+    table[i] = crc;
+  }
+  std::uint64_t crc = ~std::uint64_t{0};
+  for (const char c : data) {
+    crc = table[(crc ^ static_cast<unsigned char>(c)) & 0xff] ^ (crc >> 8);
+  }
+  return ~crc;
+}
+
+}  // namespace
+
+TEST(Crc64, MatchesThePerByteReferenceAtEveryLengthAndOffset) {
+  // The published CRC-64/XZ check value.
+  EXPECT_EQ(serialize::crc64("123456789"), 0x995DC9BBDF1939FAULL);
+  EXPECT_EQ(reference_crc64("123456789"), 0x995DC9BBDF1939FAULL);
+
+  util::Rng rng(41);
+  std::string buf(std::size_t{1} << 20, '\0');
+  for (char& c : buf) c = static_cast<char>(rng.next() & 0xff);
+  const std::string_view all(buf);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 64; ++len) {
+      const std::string_view part = all.substr(offset, len);
+      EXPECT_EQ(serialize::crc64(part), reference_crc64(part))
+          << "offset " << offset << ", length " << len;
+    }
+  }
+  EXPECT_EQ(serialize::crc64(all), reference_crc64(all));
 }

@@ -4,11 +4,14 @@
 Rules (ids used in tools/lint_allowlist.txt):
 
   naked-numeric-parse
-      std::stod/stoi/stol/atof/atoi/strtod outside src/data/io.cpp.  The io.cpp
-      loaders wrap these with full-token + range validation and file:line
-      context; everywhere else a naked call silently accepts "2.5x" prefixes
-      or dies with a context-free std::out_of_range.  Parse through
-      data::io or validate the token and allowlist with a justification.
+      std::stod/stoi/stol/atof/atoi/strtod/std::from_chars outside
+      src/data/io.cpp.  The io.cpp loaders wrap these with full-token + range
+      validation and file:line context, and take a from_chars value only
+      where strtod would return the same bits; everywhere else a naked call
+      silently accepts "2.5x" prefixes, dies with a context-free
+      std::out_of_range, or (from_chars) accepts values strtod refuses.
+      Parse through data::io or validate the token and allowlist with a
+      justification.
 
   unseeded-rng
       rand()/srand()/std::random_device/std::default_random_engine, or an
@@ -69,7 +72,8 @@ RULE_SCOPE = {
 }
 
 NUMERIC_PARSE = re.compile(
-    r"std::sto[dilfu]\w*\s*\(|[^\w.]ato[if]\s*\(|[^\w.]strto[dlf]\w*\s*\(")
+    r"std::sto[dilfu]\w*\s*\(|[^\w.]ato[if]\s*\(|[^\w.]strto[dlf]\w*\s*\("
+    r"|std::from_chars\s*\(")
 UNSEEDED_RNG = re.compile(
     r"[^\w.]s?rand\s*\(|std::random_device|std::default_random_engine"
     r"|std::mt19937(?:_64)?\s+\w+\s*;")
