@@ -60,6 +60,18 @@ const char kCachedCsv[] =
     "0,-3,1000000.25\n";
 const char kCorruptSidecarCsv[] = "0,1.5\n1,2.5\n";
 
+// The bare matrix IoMatrixCsv round-trips through save_matrix_csv.
+khss::la::Matrix awkward_matrix() {
+  khss::la::Matrix m(3, 2);
+  m(0, 0) = 0.1;
+  m(0, 1) = -2.5e-07;
+  m(1, 0) = 0.3333333333333333;
+  m(1, 1) = 2.2250738585072014e-308;
+  m(2, 0) = -1000000.25;
+  m(2, 1) = 42.0;
+  return m;
+}
+
 void expect_datasets_equal(const data::Dataset& a, const data::Dataset& b) {
   ASSERT_EQ(a.n(), b.n());
   ASSERT_EQ(a.dim(), b.dim());
@@ -294,13 +306,7 @@ TEST(IoWriteFailure, SaveCsvThrowsWhenTheDeviceRejectsData) {
 
 TEST(IoMatrixCsv, RoundTripsBitExactly) {
   ScratchFile file("matrix.csv");
-  khss::la::Matrix m(3, 2);
-  m(0, 0) = 0.1;
-  m(0, 1) = -2.5e-07;
-  m(1, 0) = 0.3333333333333333;
-  m(1, 1) = 2.2250738585072014e-308;
-  m(2, 0) = -1000000.25;
-  m(2, 1) = 42.0;
+  const khss::la::Matrix m = awkward_matrix();
   data::save_matrix_csv(m, file.path());
   khss::la::Matrix back = data::load_matrix_csv(file.path());
   ASSERT_EQ(back.rows(), 3);
@@ -612,14 +618,7 @@ TEST(IoCellParser, EveryCsvFixtureMatchesTheStrtodReference) {
   data::save_csv(data::load_csv(first.path()), saved.path());
   expect_loaders_match_reference(read_text(saved.path()), "saved_roundtrip");
 
-  khss::la::Matrix m(3, 2);
-  m(0, 0) = 0.1;
-  m(0, 1) = -2.5e-07;
-  m(1, 0) = 0.3333333333333333;
-  m(1, 1) = 2.2250738585072014e-308;
-  m(2, 0) = -1000000.25;
-  m(2, 1) = 42.0;
-  data::save_matrix_csv(m, saved.path());
+  data::save_matrix_csv(awkward_matrix(), saved.path());
   expect_loaders_match_reference(read_text(saved.path()), "saved_matrix");
 
   khss::util::Rng rng(8);
