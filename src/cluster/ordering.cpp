@@ -21,6 +21,28 @@ double sqdist(const double* a, const double* b, int d) {
   return s;
 }
 
+// sqdist of points a and b to centres c0 and c1 in one pass over the
+// coordinates: four independent sums, each in sqdist's order (so each has
+// sqdist's bits), whose add chains overlap.
+void sqdist_two_by_two(const double* a, const double* b, const double* c0,
+                       const double* c1, int d, double out[4]) {
+  double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+  for (int j = 0; j < d; ++j) {
+    const double a0 = a[j] - c0[j];
+    const double a1 = a[j] - c1[j];
+    const double b0 = b[j] - c0[j];
+    const double b1 = b[j] - c1[j];
+    s0 += a0 * a0;
+    s1 += a1 * a1;
+    s2 += b0 * b0;
+    s3 += b1 * b1;
+  }
+  out[0] = s0;
+  out[1] = s1;
+  out[2] = s2;
+  out[3] = s3;
+}
+
 // Shared state of one tree build.  `idx` is permuted in place; every split
 // routine partitions idx[lo, hi) and returns the split position mid with
 // lo < mid < hi (callers guarantee hi - lo >= 2).
@@ -222,17 +244,26 @@ struct Builder {
 
     for (int it = 0; it < opts.max_lloyd_iters; ++it) {
       bool changed = false;
-      // Assignment step (parallel: this is the O(n d) inner loop).
+      // Assignment step (parallel: this is the O(n d) inner loop), two
+      // points per pass; an odd last point takes sqdist alone.
 #pragma omp parallel for schedule(static) reduction(|| : changed) \
     if (static_cast<long>(m) * d > 16384)
-      for (int i = 0; i < m; ++i) {
+      for (int i = 0; i < m; i += 2) {
+        double dist[4];
         const double* row = pts.row(idx[lo + i]);
-        const double d0 = sqdist(row, c0.data(), d);
-        const double d1 = sqdist(row, c1.data(), d);
-        const char a = d1 < d0 ? 1 : 0;
-        if (a != assign[i]) {
-          assign[i] = a;
-          changed = true;
+        if (i + 1 < m) {
+          sqdist_two_by_two(row, pts.row(idx[lo + i + 1]), c0.data(),
+                            c1.data(), d, dist);
+        } else {
+          dist[0] = sqdist(row, c0.data(), d);
+          dist[1] = sqdist(row, c1.data(), d);
+        }
+        for (int p = 0; p < 2 && i + p < m; ++p) {
+          const char a = dist[2 * p + 1] < dist[2 * p] ? 1 : 0;
+          if (a != assign[i + p]) {
+            assign[i + p] = a;
+            changed = true;
+          }
         }
       }
       if (!changed && it > 0) break;

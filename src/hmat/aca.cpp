@@ -14,7 +14,19 @@ la::Matrix LowRank::dense() const {
   return la::matmul(u, v, la::Trans::kNo, la::Trans::kYes);
 }
 
-bool aca(int m, int n, const EntryFn& entry, const ACAOptions& opts,
+PanelFn kernel_panels(const kernel::KernelMatrix& k, int row_lo, int row_hi,
+                      int col_lo, int col_hi) {
+  PanelFn p;
+  p.row = [&k, row_lo, col_lo, col_hi](int i, double* out) {
+    k.row_panel(row_lo + i, col_lo, col_hi, out);
+  };
+  p.col = [&k, row_lo, row_hi, col_lo](int j, double* out) {
+    k.row_panel(col_lo + j, row_lo, row_hi, out);
+  };
+  return p;
+}
+
+bool aca(int m, int n, const PanelFn& panels, const ACAOptions& opts,
          LowRank* out) {
   const int full_rank = std::min(m, n);
   const int rank_cap = opts.max_rank > 0 ? std::min(opts.max_rank, full_rank)
@@ -45,7 +57,7 @@ bool aca(int m, int n, const EntryFn& entry, const ACAOptions& opts,
   for (int k = 0; k < rank_cap; ++k) {
     // Residual row `next_row`: r = A(i,:) - sum_j u_j(i) v_j.
     la::Vector r(n);
-    for (int j = 0; j < n; ++j) r[j] = entry(next_row, j);
+    panels.row(next_row, r.data());
     for (std::size_t t = 0; t < ucols.size(); ++t) {
       const double ui = ucols[t][next_row];
       if (ui == 0.0) continue;
@@ -103,7 +115,7 @@ bool aca(int m, int n, const EntryFn& entry, const ACAOptions& opts,
     for (int j = 0; j < n; ++j) vk[j] = r[j] * inv;
 
     la::Vector uk(m);
-    for (int i = 0; i < m; ++i) uk[i] = entry(i, piv);
+    panels.col(piv, uk.data());
     for (std::size_t t = 0; t < ucols.size(); ++t) {
       const double vj = vcols[t][piv];
       if (vj == 0.0) continue;
@@ -159,7 +171,7 @@ bool aca(int m, int n, const EntryFn& entry, const ACAOptions& opts,
   return true;
 }
 
-bool validate_lowrank(int m, int n, const EntryFn& entry, const LowRank& lr,
+bool validate_lowrank(int m, int n, const PanelFn& panels, const LowRank& lr,
                       double rtol, int max_probes) {
   if (m == 0 || n == 0) return true;
   // Deterministic stride sample of FULL rows and FULL columns: the probe set
@@ -174,9 +186,11 @@ bool validate_lowrank(int m, int n, const EntryFn& entry, const LowRank& lr,
   const int col_probes = std::min(n, max_probes);
   const int col_stride = std::max(1, n / col_probes);
   double err2 = 0.0, ref2 = 0.0;
+  std::vector<double> panel(std::max(m, n));
   for (int i = 0; i < m; i += row_stride) {
+    panels.row(i, panel.data());
     for (int j = 0; j < n; ++j) {
-      const double a = entry(i, j);
+      const double a = panel[j];
       double rec = 0.0;
       for (int c = 0; c < lr.rank(); ++c) rec += lr.u(i, c) * lr.v(j, c);
       err2 += (rec - a) * (rec - a);
@@ -184,8 +198,9 @@ bool validate_lowrank(int m, int n, const EntryFn& entry, const LowRank& lr,
     }
   }
   for (int j = 0; j < n; j += col_stride) {
+    panels.col(j, panel.data());
     for (int i = 0; i < m; ++i) {
-      const double a = entry(i, j);
+      const double a = panel[i];
       double rec = 0.0;
       for (int c = 0; c < lr.rank(); ++c) rec += lr.u(i, c) * lr.v(j, c);
       err2 += (rec - a) * (rec - a);
@@ -197,13 +212,11 @@ bool validate_lowrank(int m, int n, const EntryFn& entry, const LowRank& lr,
   return err2 <= rtol * rtol * ref2 + 1e-280;
 }
 
-LowRank dense_svd_lowrank(int m, int n, const EntryFn& entry, double rtol) {
+LowRank dense_svd_lowrank(int m, int n, const PanelFn& panels, double rtol) {
   LowRank lr;
   if (m == 0 || n == 0) return lr;
   la::Matrix block(m, n);
-  for (int i = 0; i < m; ++i) {
-    for (int j = 0; j < n; ++j) block(i, j) = entry(i, j);
-  }
+  for (int i = 0; i < m; ++i) panels.row(i, block.row(i));
   la::SVDOptions svd_opts;
   svd_opts.compute_uv = true;
   la::SVDResult s = la::svd(block, svd_opts);

@@ -1,12 +1,10 @@
 #include "hmat/hmatrix.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 
-#include "la/blas.hpp"
+#include "la/gemm_kernel.hpp"
 #include "util/contracts.hpp"
-#include "util/threads.hpp"
 #include "util/timer.hpp"
 
 namespace khss::hmat {
@@ -72,9 +70,7 @@ void build_rec(BuildCtx& ctx, int na, int nb) {
     // Index ranges of off-diagonal blocks are disjoint by construction (the
     // recursion only keeps a == b on the diagonal), so the lambda shift
     // never leaks into low-rank factors.
-    EntryFn entry = [&ctx, &a, &b](int i, int j) {
-      return ctx.kernel.entry(a.lo + i, b.lo + j);
-    };
+    const PanelFn panels = kernel_panels(ctx.kernel, a.lo, a.hi, b.lo, b.hi);
     ACAOptions aca_opts;
     aca_opts.rtol = ctx.opts.rtol;
     aca_opts.max_rank = ctx.opts.max_rank;
@@ -84,7 +80,7 @@ void build_rec(BuildCtx& ctx, int na, int nb) {
                                    std::max(1, half));
     }
     LowRank lr;
-    if (aca(a.size(), b.size(), entry, aca_opts, &lr)) {
+    if (aca(a.size(), b.size(), panels, aca_opts, &lr)) {
       if (ctx.opts.recompress && lr.rank() > 1) {
         recompress(&lr, ctx.opts.rtol);
       }
@@ -206,70 +202,9 @@ HMatrix::HMatrix(int n, double lambda, std::vector<HBlock> blocks)
 
 namespace {
 
-// Row chunk of the few-column multiply: a fixed size, so the work split
-// depends on the shape alone.
+// Row chunk of the multiply: a fixed size, so the work split depends on the
+// shape alone.
 constexpr int kRowChunk = 256;
-
-// V^T * x(cols of blk, c0:c1) of a low-rank block (k x (c1 - c0)).
-la::Matrix project_low_rank(const HBlock& blk, const la::Matrix& x, int c0,
-                            int c1) {
-  const int k = blk.lr.rank(), nc = c1 - c0;
-  la::Matrix tmp(k, nc);
-  for (int j = 0; j < blk.col_hi - blk.col_lo; ++j) {
-    const double* xrow = x.row(blk.col_lo + j) + c0;
-    const double* vrow = blk.lr.v.row(j);
-    for (int t = 0; t < k; ++t) {
-      const double vjt = vrow[t];
-      if (vjt == 0.0) continue;
-      double* trow = tmp.row(t);
-      for (int c = 0; c < nc; ++c) trow[c] += vjt * xrow[c];
-    }
-  }
-  return tmp;
-}
-
-// out(r0:r1, c0:c1) += blk(r0:r1, :) * x(cols of blk, c0:c1), for global
-// rows [r0, r1) inside the block; `tmp` is project_low_rank's result for a
-// low-rank block.  Each output element takes the block's terms in a fixed
-// order (t, or j, ascending) whatever the row range.
-void apply_block_rows(const HBlock& blk, const la::Matrix& tmp,
-                      const la::Matrix& x, la::Matrix& out, int r0, int r1,
-                      int c0, int c1) {
-  const int nc = c1 - c0;
-  if (blk.low_rank) {
-    const int k = blk.lr.rank();
-    for (int i = r0; i < r1; ++i) {
-      double* orow = out.row(i) + c0;
-      const double* urow = blk.lr.u.row(i - blk.row_lo);
-      for (int t = 0; t < k; ++t) {
-        const double uit = urow[t];
-        if (uit == 0.0) continue;
-        const double* trow = tmp.row(t);
-        for (int c = 0; c < nc; ++c) orow[c] += uit * trow[c];
-      }
-    }
-  } else {
-    for (int i = r0; i < r1; ++i) {
-      double* orow = out.row(i) + c0;
-      const double* drow = blk.dense.row(i - blk.row_lo);
-      for (int j = 0; j < blk.col_hi - blk.col_lo; ++j) {
-        const double dij = drow[j];
-        if (dij == 0.0) continue;
-        const double* xrow = x.row(blk.col_lo + j) + c0;
-        for (int c = 0; c < nc; ++c) orow[c] += dij * xrow[c];
-      }
-    }
-  }
-}
-
-// out(rows of blk) += blk * x(cols of blk), restricted to columns [c0, c1).
-void apply_block(const HBlock& blk, const la::Matrix& x, la::Matrix& out,
-                 int c0, int c1) {
-  if (blk.low_rank && blk.lr.rank() == 0) return;
-  const la::Matrix tmp =
-      blk.low_rank ? project_low_rank(blk, x, c0, c1) : la::Matrix();
-  apply_block_rows(blk, tmp, x, out, blk.row_lo, blk.row_hi, c0, c1);
-}
 
 }  // namespace
 
@@ -280,43 +215,58 @@ la::Matrix HMatrix::multiply(const la::Matrix& x) const {
   const int s = x.cols();
   la::Matrix out(n_, s);
 
-  const int threads = util::max_threads();
-  if (s >= 4 && s >= threads / 2) {
-    // Column-sliced parallelism: disjoint output columns, no contention.
-    const int chunks = std::min(threads, s);
-#pragma omp parallel for schedule(static)
-    for (int c = 0; c < chunks; ++c) {
-      const int c0 = static_cast<int>(static_cast<long>(c) * s / chunks);
-      const int c1 = static_cast<int>(static_cast<long>(c + 1) * s / chunks);
-      for (const auto& blk : blocks_) apply_block(blk, x, out, c0, c1);
-    }
-  } else {
-    // Few columns: every low-rank block's V^T x first, then fixed row
-    // chunks in parallel, each applying the blocks that touch it in block
-    // order.  Every output element therefore sums its terms in block order,
-    // as in the column-sliced path, so the bits match that path's and do not
-    // depend on the thread count.
-    const std::size_t nb = blocks_.size();
-    std::vector<la::Matrix> proj(nb);
+  // V^T X(cols) of every low-rank block, stacked in one buffer (sum of the
+  // ranks x s), each through the packed core reading V transposed in place.
+  const std::size_t nb = blocks_.size();
+  std::vector<std::size_t> proj_at(nb + 1, 0);
+  for (std::size_t b = 0; b < nb; ++b) {
+    const int k = blocks_[b].low_rank ? blocks_[b].lr.rank() : 0;
+    proj_at[b + 1] = proj_at[b] + static_cast<std::size_t>(k) * s;
+  }
+  std::vector<double> proj(proj_at[nb], 0.0);
 #pragma omp parallel for schedule(dynamic, 8)
-    for (std::size_t b = 0; b < nb; ++b) {
-      if (blocks_[b].low_rank) proj[b] = project_low_rank(blocks_[b], x, 0, s);
+  for (std::size_t b = 0; b < nb; ++b) {
+    const HBlock& blk = blocks_[b];
+    if (!blk.low_rank) continue;
+    const int k = blk.lr.rank();
+    la::detail::gemm_packed_serial(k, s, blk.col_hi - blk.col_lo, 1.0,
+                                   blk.lr.v.data(), k, /*ta=*/true,
+                                   x.row(blk.col_lo), s, false,
+                                   proj.data() + proj_at[b], s);
+  }
+
+  // Fixed row chunks in parallel, each applying the blocks that touch it in
+  // block order: D X(cols) or U (V^T X) through the same packed call,
+  // straight into the output rows.  An output element therefore sums its
+  // block terms in block order, and each term in the packed core's fixed
+  // order, so its bits depend on the shape alone: not on the thread count,
+  // the row chunk or the other columns of X.
+  const int nchunks = (n_ + kRowChunk - 1) / kRowChunk;
+  std::vector<std::vector<int>> touching(nchunks);
+  for (std::size_t b = 0; b < nb; ++b) {
+    const HBlock& blk = blocks_[b];
+    for (int ch = blk.row_lo / kRowChunk; ch * kRowChunk < blk.row_hi; ++ch) {
+      touching[ch].push_back(static_cast<int>(b));
     }
-    const int nchunks = (n_ + kRowChunk - 1) / kRowChunk;
-    std::vector<std::vector<int>> touching(nchunks);
-    for (std::size_t b = 0; b < nb; ++b) {
-      const HBlock& blk = blocks_[b];
-      for (int ch = blk.row_lo / kRowChunk; ch * kRowChunk < blk.row_hi; ++ch) {
-        touching[ch].push_back(static_cast<int>(b));
-      }
-    }
+  }
 #pragma omp parallel for schedule(dynamic)
-    for (int ch = 0; ch < nchunks; ++ch) {
-      const int r0 = ch * kRowChunk, r1 = std::min(n_, r0 + kRowChunk);
-      for (int b : touching[ch]) {
-        const HBlock& blk = blocks_[b];
-        apply_block_rows(blk, proj[b], x, out, std::max(r0, blk.row_lo),
-                         std::min(r1, blk.row_hi), 0, s);
+  for (int ch = 0; ch < nchunks; ++ch) {
+    const int lo = ch * kRowChunk, hi = std::min(n_, lo + kRowChunk);
+    for (int b : touching[ch]) {
+      const HBlock& blk = blocks_[b];
+      const int r0 = std::max(lo, blk.row_lo), r1 = std::min(hi, blk.row_hi);
+      if (blk.low_rank) {
+        const int k = blk.lr.rank();
+        la::detail::gemm_packed_serial(r1 - r0, s, k, 1.0,
+                                       blk.lr.u.row(r0 - blk.row_lo), k, false,
+                                       proj.data() + proj_at[b], s, false,
+                                       out.row(r0), s);
+      } else {
+        const int nc = blk.col_hi - blk.col_lo;
+        la::detail::gemm_packed_serial(r1 - r0, s, nc, 1.0,
+                                       blk.dense.row(r0 - blk.row_lo), nc,
+                                       false, x.row(blk.col_lo), s, false,
+                                       out.row(r0), s);
       }
     }
   }

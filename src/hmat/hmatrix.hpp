@@ -76,7 +76,9 @@ class HMatrix {
 
   int n() const { return n_; }
 
-  /// Y = (K_H + lambda I) X.  OpenMP-parallel.
+  /// Y = (K_H + lambda I) X.  OpenMP-parallel over fixed row chunks on the
+  /// packed GEMM core; a column of Y has the same bits whatever the other
+  /// columns of X and the thread count.
   la::Matrix multiply(const la::Matrix& x) const;
 
   /// y = (K_H + lambda I) x.

@@ -50,26 +50,21 @@ HODLRMatrix::HODLRMatrix(const kernel::KernelMatrix& kernel,
     // an exact truncated SVD of the materialized block when ACA missed
     // content or diverged (possible on kernels with a wide dynamic range —
     // its internal convergence estimate only sees the rows it visited).
-    auto compress = [&](int rows, int cols, const hmat::EntryFn& f,
-                        hmat::LowRank* lr) {
-      const bool converged = hmat::aca(rows, cols, f, aca_opts, lr);
+    auto compress = [&](const Node& r, const Node& c, hmat::LowRank* lr) {
+      const hmat::PanelFn f =
+          hmat::kernel_panels(kernel, r.lo, r.hi, c.lo, c.hi);
+      const bool converged = hmat::aca(r.size(), c.size(), f, aca_opts, lr);
       if (converged && opts.recompress && lr->rank() > 1) {
         hmat::recompress(lr, opts.rtol);
       }
       if (!converged ||
-          !hmat::validate_lowrank(rows, cols, f, *lr, 30.0 * opts.rtol,
-                                  /*max_probes=*/64)) {
-        *lr = hmat::dense_svd_lowrank(rows, cols, f, opts.rtol);
+          !hmat::validate_lowrank(r.size(), c.size(), f, *lr,
+                                  30.0 * opts.rtol, /*max_probes=*/64)) {
+        *lr = hmat::dense_svd_lowrank(r.size(), c.size(), f, opts.rtol);
       }
     };
-    hmat::EntryFn up = [&](int i, int j) {
-      return kernel.entry(a.lo + i, b.lo + j);
-    };
-    compress(a.size(), b.size(), up, &nd.upper);
-    hmat::EntryFn lo = [&](int i, int j) {
-      return kernel.entry(b.lo + i, a.lo + j);
-    };
-    compress(b.size(), a.size(), lo, &nd.lower);
+    compress(a, b, &nd.upper);
+    compress(b, a, &nd.lower);
   }
 
   stats_ = HODLRStats{};

@@ -183,6 +183,39 @@ double KernelMatrix::entry(int i, int j) const {
   return v;
 }
 
+void KernelMatrix::row_panel(int i, int lo, int hi, double* out) const {
+  KHSS_ASSERT_DBG(i >= 0 && i < n() && lo >= 0 && lo <= hi && hi <= n());
+  const int d = dim();
+  const double* xi = points_.row(i);
+  const double ni = sqnorm_[i];
+  int j = lo;
+  for (; j + 4 <= hi; j += 4) {
+    const double* x0 = points_.row(j);
+    const double* x1 = points_.row(j + 1);
+    const double* x2 = points_.row(j + 2);
+    const double* x3 = points_.row(j + 3);
+    double dot0 = 0.0, dot1 = 0.0, dot2 = 0.0, dot3 = 0.0;
+    for (int k = 0; k < d; ++k) {
+      dot0 += xi[k] * x0[k];
+      dot1 += xi[k] * x1[k];
+      dot2 += xi[k] * x2[k];
+      dot3 += xi[k] * x3[k];
+    }
+    out[j - lo] = from_products(dot0, ni, sqnorm_[j]);
+    out[j + 1 - lo] = from_products(dot1, ni, sqnorm_[j + 1]);
+    out[j + 2 - lo] = from_products(dot2, ni, sqnorm_[j + 2]);
+    out[j + 3 - lo] = from_products(dot3, ni, sqnorm_[j + 3]);
+  }
+  for (; j < hi; ++j) {
+    const double* xj = points_.row(j);
+    double dot = 0.0;
+    for (int k = 0; k < d; ++k) dot += xi[k] * xj[k];
+    out[j - lo] = from_products(dot, ni, sqnorm_[j]);
+  }
+  if (i >= lo && i < hi) out[i - lo] += lambda_;
+  count_evals(hi - lo);
+}
+
 la::Matrix KernelMatrix::extract(const std::vector<int>& rows,
                                  const std::vector<int>& cols) const {
   const int nr = static_cast<int>(rows.size());

@@ -4,6 +4,7 @@
 // KernelMatrix is the "partially matrix-free interface" of the paper
 // (Section 1.1): the HSS construction never forms K — it only needs
 //   (a) selected elements  K(i, j)            -> entry() / extract()
+//       and whole rows     K(i, lo:hi)        -> row_panel()
 //   (b) products           (K + lambda I) X   -> multiply()
 // The dense multiply here is the honest O(n^2 (d+s)) sampling path; the
 // H-matrix module provides the fast sampling alternative the paper builds.
@@ -75,9 +76,9 @@ bool kernel_is_composite(KernelType t);
 /// ny = ||y||^2.  Every kernel family (composites included) reduces to this
 /// form, which is what lets tile evaluation run as a GEMM plus an
 /// elementwise transform.  This is the per-element reference (std::exp),
-/// used by KernelMatrix::entry(), cross_times_vector and the tests; the bulk
-/// paths run kernel_tile_from_products below.  Dispatches through the
-/// family registry in kernel.cpp.
+/// used by KernelMatrix::entry() and row_panel(), cross_times_vector and
+/// the tests; the bulk paths run kernel_tile_from_products below.
+/// Dispatches through the family registry in kernel.cpp.
 double kernel_from_products(const KernelParams& params, double dot_xy,
                             double nx, double ny);
 
@@ -133,6 +134,14 @@ class KernelMatrix {
   /// K(i, j) + lambda * [i == j].
   double entry(int i, int j) const;
 
+  /// out[j - lo] = entry(i, j) for j in [lo, hi), bit for bit: every dot
+  /// product is summed in entry()'s order (four at a time, so the add
+  /// chains overlap) and transformed by the same std::exp reference.
+  /// entry(i, j) and entry(j, i) are bitwise equal in every family, so the
+  /// panel is also column i of K(lo:hi, :).  ACA reads whole block rows
+  /// and columns through it.
+  void row_panel(int i, int lo, int hi, double* out) const;
+
   /// Dense submatrix K(rows, cols) (+lambda on coincident indices).
   la::Matrix extract(const std::vector<int>& rows,
                      const std::vector<int>& cols) const;
@@ -151,12 +160,13 @@ class KernelMatrix {
   /// Dense cross-kernel block K(other, train) (small sizes; tests/examples).
   la::Matrix cross(const la::Matrix& other_points) const;
 
-  /// Approximate number of kernel element evaluations since construction
-  /// (bulk operations only; single entry() calls are not counted to keep the
-  /// hot path free of synchronization).  Profiling aid for the partially
-  /// matrix-free interface.  Relaxed-atomic: one KernelMatrix may serve
-  /// concurrent extract()/multiply()/dense() callers (the solver and serving
-  /// layers share it), so the counter must not be a plain read-modify-write.
+  /// Number of kernel element evaluations since construction: the bulk
+  /// operations and every row_panel() (so ACA's reads count), but not
+  /// single entry() calls, which stay free of synchronization.  Profiling
+  /// aid for the partially matrix-free interface.  Relaxed-atomic: one
+  /// KernelMatrix may serve concurrent extract()/multiply()/dense() and
+  /// row_panel() callers (the H build and the solver and serving layers
+  /// share it), so the counter must not be a plain read-modify-write.
   long element_evals() const {
     return element_evals_.load(std::memory_order_relaxed);
   }

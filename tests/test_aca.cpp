@@ -2,13 +2,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "hmat/aca.hpp"
+#include "kernel/kernel.hpp"
 #include "la/blas.hpp"
 #include "la/qr.hpp"
 #include "util/rng.hpp"
 
 namespace hm = khss::hmat;
+namespace kn = khss::kernel;
 namespace la = khss::la;
 
 namespace {
@@ -24,8 +27,23 @@ la::Matrix rank_k_matrix(int m, int n, int k, std::uint64_t seed) {
   return la::matmul(random_matrix(m, k, seed), random_matrix(k, n, seed + 1));
 }
 
-hm::EntryFn entry_of(const la::Matrix& a) {
-  return [&a](int i, int j) { return a(i, j); };
+// Panels of an m x n block read one element at a time through `entry`.
+template <typename Entry>
+hm::PanelFn panels_of_entries(int m, int n, Entry entry) {
+  hm::PanelFn p;
+  p.row = [n, entry](int i, double* out) {
+    for (int j = 0; j < n; ++j) out[j] = entry(i, j);
+  };
+  p.col = [m, entry](int j, double* out) {
+    for (int i = 0; i < m; ++i) out[i] = entry(i, j);
+  };
+  return p;
+}
+
+// Panels of a stored matrix.
+hm::PanelFn panels_of(const la::Matrix& a) {
+  return panels_of_entries(a.rows(), a.cols(),
+                           [&a](int i, int j) { return a(i, j); });
 }
 
 }  // namespace
@@ -38,7 +56,7 @@ TEST_P(ACARanks, RecoversExactLowRank) {
   hm::ACAOptions opts;
   opts.rtol = 1e-10;
   hm::LowRank lr;
-  ASSERT_TRUE(hm::aca(60, 45, entry_of(a), opts, &lr));
+  ASSERT_TRUE(hm::aca(60, 45, panels_of(a), opts, &lr));
   EXPECT_LE(lr.rank(), k + 2);  // ACA may slightly overshoot
   EXPECT_LT(la::diff_f(lr.dense(), a), 1e-7 * (1.0 + la::norm_f(a)));
 }
@@ -57,7 +75,7 @@ TEST(ACA, SmoothKernelBlockCompresses) {
   hm::ACAOptions opts;
   opts.rtol = 1e-8;
   hm::LowRank lr;
-  ASSERT_TRUE(hm::aca(m, n, entry, opts, &lr));
+  ASSERT_TRUE(hm::aca(m, n, panels_of_entries(m, n, entry), opts, &lr));
   EXPECT_LT(lr.rank(), 20);
 
   la::Matrix a(m, n);
@@ -83,7 +101,7 @@ TEST(ACA, ToleranceControlsError) {
     hm::ACAOptions opts;
     opts.rtol = tol;
     hm::LowRank lr;
-    ASSERT_TRUE(hm::aca(50, 50, entry_of(a), opts, &lr));
+    ASSERT_TRUE(hm::aca(50, 50, panels_of(a), opts, &lr));
     const double err = la::diff_f(lr.dense(), a) / la::norm_f(a);
     EXPECT_LT(err, 50.0 * tol);
     EXPECT_LE(err, prev_err + 1e-12);
@@ -99,7 +117,7 @@ TEST(ACA, FailsGracefullyOnFullRankNoise) {
   opts.rtol = 1e-8;
   opts.max_rank = 5;
   hm::LowRank lr;
-  EXPECT_FALSE(hm::aca(40, 40, entry_of(a), opts, &lr));
+  EXPECT_FALSE(hm::aca(40, 40, panels_of(a), opts, &lr));
   EXPECT_EQ(lr.rank(), 5);  // partial factors still returned
 }
 
@@ -107,7 +125,7 @@ TEST(ACA, ZeroBlockGivesRankZeroOrOne) {
   la::Matrix a(10, 8);
   hm::ACAOptions opts;
   hm::LowRank lr;
-  ASSERT_TRUE(hm::aca(10, 8, entry_of(a), opts, &lr));
+  ASSERT_TRUE(hm::aca(10, 8, panels_of(a), opts, &lr));
   EXPECT_LE(lr.rank(), 1);
   EXPECT_LT(la::norm_f(lr.dense()), 1e-12);
 }
@@ -115,12 +133,12 @@ TEST(ACA, ZeroBlockGivesRankZeroOrOne) {
 TEST(ACA, SingleRowAndColumn) {
   la::Matrix a = random_matrix(1, 7, 44);
   hm::LowRank lr;
-  ASSERT_TRUE(hm::aca(1, 7, entry_of(a), {}, &lr));
+  ASSERT_TRUE(hm::aca(1, 7, panels_of(a), {}, &lr));
   EXPECT_LT(la::diff_f(lr.dense(), a), 1e-10);
 
   la::Matrix b = random_matrix(9, 1, 45);
   hm::LowRank lr2;
-  ASSERT_TRUE(hm::aca(9, 1, entry_of(b), {}, &lr2));
+  ASSERT_TRUE(hm::aca(9, 1, panels_of(b), {}, &lr2));
   EXPECT_LT(la::diff_f(lr2.dense(), b), 1e-10);
 }
 
@@ -148,11 +166,72 @@ TEST(Recompress, ReducesInflatedRank) {
 TEST(Recompress, NoopOnTightRank) {
   la::Matrix a = rank_k_matrix(20, 20, 2, 60);
   hm::LowRank lr;
-  ASSERT_TRUE(hm::aca(20, 20, entry_of(a), {}, &lr));
+  ASSERT_TRUE(hm::aca(20, 20, panels_of(a), {}, &lr));
   const int before = lr.rank();
   hm::recompress(&lr, 1e-12);
   EXPECT_LE(lr.rank(), before);
   EXPECT_LT(la::diff_f(lr.dense(), a), 1e-6 * (1.0 + la::norm_f(a)));
+}
+
+namespace {
+
+bool same_bits(const la::Matrix& a, const la::Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+}  // namespace
+
+TEST(KernelPanels, AcaValidationAndSvdFallbackMatchEntryBitForBit) {
+  // kernel_panels() reads whole rows and columns through
+  // KernelMatrix::row_panel(); element by element through entry() the three
+  // consumers must see, and return, the very same bits.  The diagonal span
+  // puts lambda inside the block.
+  struct Span {
+    int lo, hi;
+  };
+  const Span blocks[][2] = {{{0, 47}, {47, 120}},
+                            {{47, 120}, {0, 47}},
+                            {{20, 90}, {20, 90}}};
+  for (const int dim : {5, 300}) {
+    la::Matrix pts = random_matrix(120, dim, 70 + dim);
+    for (std::size_t e = 0; e < pts.size(); ++e) {
+      pts.data()[e] *= std::sqrt(5.0 / dim);
+    }
+    kn::KernelParams params;
+    params.h = 1.5;
+    const kn::KernelMatrix km(pts, params, 0.3);
+    for (const auto& blk : blocks) {
+      const Span r = blk[0], c = blk[1];
+      const int m = r.hi - r.lo, n = c.hi - c.lo;
+      const hm::PanelFn panels = hm::kernel_panels(km, r.lo, r.hi, c.lo, c.hi);
+      const hm::PanelFn entries = panels_of_entries(
+          m, n, [&km, r, c](int i, int j) { return km.entry(r.lo + i, c.lo + j); });
+      const std::string what = "dim " + std::to_string(dim) + " rows [" +
+                               std::to_string(r.lo) + ", " +
+                               std::to_string(r.hi) + ")";
+      for (const int cap : {0, 4}) {
+        hm::ACAOptions opts;
+        opts.rtol = 1e-6;
+        opts.max_rank = cap;
+        hm::LowRank a, b;
+        EXPECT_EQ(hm::aca(m, n, panels, opts, &a),
+                  hm::aca(m, n, entries, opts, &b))
+            << what;
+        EXPECT_TRUE(same_bits(a.u, b.u) && same_bits(a.v, b.v))
+            << what << " cap " << cap;
+        for (const double tol : {1e-2, 1e-4, 1e-6, 1e-8}) {
+          EXPECT_EQ(hm::validate_lowrank(m, n, panels, a, tol, 16),
+                    hm::validate_lowrank(m, n, entries, a, tol, 16))
+              << what << " tol " << tol;
+        }
+      }
+      const hm::LowRank sa = hm::dense_svd_lowrank(m, n, panels, 1e-6);
+      const hm::LowRank sb = hm::dense_svd_lowrank(m, n, entries, 1e-6);
+      EXPECT_GT(sa.rank(), 0) << what;
+      EXPECT_TRUE(same_bits(sa.u, sb.u) && same_bits(sa.v, sb.v)) << what;
+    }
+  }
 }
 
 TEST(LowRank, BytesAccounting) {

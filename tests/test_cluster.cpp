@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <set>
 
 #include "cluster/ordering.hpp"
@@ -181,6 +182,57 @@ TEST(TwoMeans, DeterministicGivenSeed) {
   cl::ClusterTree a = cl::build_cluster_tree(pts, Method::kTwoMeans, opts);
   cl::ClusterTree b = cl::build_cluster_tree(pts, Method::kTwoMeans, opts);
   EXPECT_EQ(a.perm(), b.perm());
+}
+
+namespace {
+
+// FNV-1a over a tree's permutation and every node's range and children.
+std::uint64_t tree_hash(const cl::ClusterTree& t) {
+  std::uint64_t h = 1469598103934665603ull;
+  auto mix = [&h](int v) {
+    const auto u = static_cast<std::uint32_t>(v);
+    for (int b = 0; b < 4; ++b) {
+      h ^= (u >> (8 * b)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  };
+  for (int p : t.perm()) mix(p);
+  for (int id = 0; id < t.num_nodes(); ++id) {
+    mix(t.node(id).lo);
+    mix(t.node(id).hi);
+    mix(t.node(id).left);
+    mix(t.node(id).right);
+  }
+  return h;
+}
+
+}  // namespace
+
+TEST(TwoMeans, TreesKeepTheirPinnedBits) {
+  // The assignment step measures two points against both centroids in one
+  // pass (four independent sums, each in sqdist's order), so every
+  // assignment, tree and permutation stays that of the one-distance-at-a-
+  // time loop, whose trees these hashes were taken from.  d = 784 is the
+  // MNIST twin's dimension; n = 1531 with leaf size 45 gives odd node sizes,
+  // whose last point takes the single-point path; the sieved build covers
+  // the sample tree, the descent and the leaf re-splits.
+  const la::Matrix pts = clustered_points(1531, 784, 5, 41);
+  cl::OrderingOptions opts;
+  opts.leaf_size = 45;
+  opts.seed = 3;
+  cl::OrderingOptions sieved = opts;
+  sieved.sieve = 400;
+  const int saved = khss::util::max_threads();
+  for (int threads : {1, 3}) {
+    khss::util::set_threads(threads);
+    EXPECT_EQ(tree_hash(cl::build_cluster_tree(pts, Method::kTwoMeans, opts)),
+              0xa01512b3ac0b9976ull)
+        << threads << " threads";
+    EXPECT_EQ(tree_hash(cl::build_cluster_tree(pts, Method::kTwoMeans, sieved)),
+              0x19e9428e24c3152cull)
+        << threads << " threads, sieved";
+  }
+  khss::util::set_threads(saved);
 }
 
 TEST(TwoMeans, DegenerateIdenticalPointsTerminates) {

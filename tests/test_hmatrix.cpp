@@ -1,6 +1,8 @@
 // Tests for the strong-admissibility H-matrix.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "cluster/ordering.hpp"
 #include "data/datasets.hpp"
 #include "data/synthetic.hpp"
@@ -177,34 +179,47 @@ TEST(HMatrix, WorksWithNaturalOrderingToo) {
   EXPECT_LT(la::diff_f(y, ref), 1e-4 * (1.0 + la::norm_f(ref)));
 }
 
-TEST(HMatrix, FewColumnMultiplyIsBitIdenticalAcrossThreadsAndCalls) {
-  // Fewer than 4 columns take the block-parallel path (the PCG backend's
-  // matvec); its bits must not depend on the thread count or on the run,
-  // and must match the column-sliced path's for the same columns.
+TEST(HMatrix, MultiplyColumnsAreBitIdenticalAcrossWidthsThreadsAndCalls) {
+  // One path for every width: fixed 256-row chunks apply their blocks in
+  // block order through the packed core, whose per-element sum order is
+  // fixed by the shape.  So an output column depends only on the same column
+  // of X: its bits do not move with the width (1 is the PCG backend's
+  // matvec, 64-256 the randomized HSS sampling), the thread count or the
+  // call.
   HmCtx s = make_setup(600, 5, 1.0, 0.4, 14);  // three 256-row chunks
   hm::HOptions opts;
   opts.rtol = 1e-6;
   hm::HMatrix h(*s.kernel, s.tree, opts);
   ASSERT_GT(h.stats().num_lowrank_blocks, 0);
+  ASSERT_GT(h.stats().num_dense_blocks, 0);
+  const int n = 600, widest = 300;
   khss::util::Rng rng(15);
-  la::Matrix wide(600, 8);
+  la::Matrix wide(n, widest);
   rng.fill_normal(wide.data(), wide.size());
 
   const int saved = khss::util::max_threads();
-  khss::util::set_threads(4);
-  const la::Matrix sliced = h.multiply(wide);  // column-sliced path
-  for (int cols = 1; cols <= 3; ++cols) {
-    const la::Matrix x = wide.block(0, 0, 600, cols);
-    for (int threads : {1, 4}) {
+  khss::util::set_threads(1);
+  std::vector<la::Matrix> alone;
+  for (int c = 0; c < widest; ++c) alone.push_back(h.multiply(wide.block(0, c, n, 1)));
+  const la::Matrix hd = h.dense();
+  for (int width : {1, 2, 3, 5, 64, widest}) {
+    const la::Matrix x = wide.block(0, 0, n, width);
+    const la::Matrix ref = la::matmul(hd, x);
+    for (int threads = 1; threads <= 4; ++threads) {
       khss::util::set_threads(threads);
-      for (int call = 0; call < 20; ++call) {
+      for (int call = 0; call < 2; ++call) {
         const la::Matrix y = h.multiply(x);
         bool same = true;
-        for (int i = 0; i < 600 && same; ++i) {
-          for (int c = 0; c < cols; ++c) same = same && y(i, c) == sliced(i, c);
+        for (int c = 0; c < width && same; ++c) {
+          for (int i = 0; i < n && same; ++i) {
+            const double a = y(i, c), b = alone[c](i, 0);
+            same = std::memcmp(&a, &b, sizeof a) == 0;
+          }
         }
-        ASSERT_TRUE(same) << cols << " columns, " << threads
+        ASSERT_TRUE(same) << width << " columns, " << threads
                           << " threads, call " << call;
+        EXPECT_LT(la::diff_f(y, ref), 1e-13 * la::norm_f(ref))
+            << width << " columns, " << threads << " threads";
       }
     }
   }

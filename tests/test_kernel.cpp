@@ -723,6 +723,69 @@ TEST(TileTransform, BulkPathsShareBitsWithExtract) {
   }
 }
 
+TEST(RowPanel, MatchesEntryBitForBitForEveryFamily) {
+  // row_panel() sums four dot products at a time, each in entry()'s order,
+  // and transforms them with the same std::exp reference, so ACA's H blocks
+  // and HODLR factors keep entry()'s bits.  n = 61 leaves ragged tails of
+  // the four-wide groups; dimension 300 spans more than one GEMM depth
+  // block, which row_panel() does not use but entry()'s callers did.
+  const int n = 61;
+  const double lambda = 0.7;
+  struct Range {
+    int lo, hi;
+  };
+  const Range ranges[] = {{0, n}, {10, 23}, {30, n}, {17, 18}, {42, 47}, {5, 5}};
+  for (const int dim : {5, 300}) {
+    // Scaled so point distances, and with them every family's values, stay
+    // in the same range at both dimensions.
+    la::Matrix pts = random_points(n, dim, 36);
+    const double scale = std::sqrt(5.0 / dim);
+    for (std::size_t e = 0; e < pts.size(); ++e) pts.data()[e] *= scale;
+    for (const TileCase& tc : tile_cases()) {
+      k::KernelMatrix km(pts, tc.params, lambda);
+      for (const int i : {0, 17, 42, 60}) {
+        for (const Range& r : ranges) {
+          const int len = r.hi - r.lo;
+          // One sentinel past the end: the panel writes exactly len values.
+          std::vector<double> panel(len + 1, -7.0), row(len + 1, -7.0),
+              col(len + 1, -7.0);
+          const long evals = km.element_evals();
+          km.row_panel(i, r.lo, r.hi, panel.data());
+          EXPECT_EQ(km.element_evals() - evals, len);
+          for (int j = r.lo; j < r.hi; ++j) {
+            row[j - r.lo] = km.entry(i, j);
+            col[j - r.lo] = km.entry(j, i);  // the panel read as a column
+          }
+          const std::string what = tc.label + " dim " + std::to_string(dim) +
+                                   " i " + std::to_string(i) + " [" +
+                                   std::to_string(r.lo) + ", " +
+                                   std::to_string(r.hi) + ")";
+          EXPECT_EQ(std::memcmp(panel.data(), row.data(),
+                                panel.size() * sizeof(double)),
+                    0)
+              << what;
+          EXPECT_EQ(std::memcmp(panel.data(), col.data(),
+                                panel.size() * sizeof(double)),
+                    0)
+              << what << " as a column";
+          if (i >= r.lo && i < r.hi) {
+            // lambda is added once, on the diagonal entry only.
+            k::KernelMatrix unshifted(pts, tc.params, 0.0);
+            std::vector<double> bare(len);
+            unshifted.row_panel(i, r.lo, r.hi, bare.data());
+            for (int j = r.lo; j < r.hi; ++j) {
+              const double want =
+                  j == i ? bare[j - r.lo] + lambda : bare[j - r.lo];
+              EXPECT_EQ(bits_of(panel[j - r.lo]), bits_of(want))
+                  << what << " at j " << j;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 // --- Eval budget: the matrix-free audit guard ------------------------------
 
 TEST(EvalBudget, UnlimitedByDefault) {
