@@ -10,9 +10,11 @@
 // the H-sampled randomized HSS construction keeps compression near-linear,
 // and a KernelMatrix eval budget of n^2/4 makes the run FAIL (rather than
 // quietly thrash) if any stage falls back to a dense n x n path.  Per-phase
-// seconds (order/compress/factor/solve/score), kernel-evaluation counts and
-// peak RSS land in the JSON rows — the committed BENCH_scale.json perf
-// trajectory at the repo root.
+// seconds (order/compress/factor/solve/score) under one fit clock, with
+// the unattributed rest, kernel-evaluation counts, peak RSS and the exact
+// residual ||(K + lambda I) w - y|| / ||y|| on 256 sampled kernel rows land
+// in the JSON rows — the committed BENCH_scale.json perf trajectory at the
+// repo root.
 
 #include "scale_common.hpp"
 
@@ -47,8 +49,9 @@ int main(int argc, char** argv) {
 
   util::Table table({"n", "order (s)", "H build (s)", "compress (s)",
                      "sampling (s)", "local (s)", "factor (s)", "solve (s)",
-                     "score (s)", "fit (s)", "acc", "evals/n^2", "rank",
-                     "mem (MB)", "peak RSS (MB)"});
+                     "score (s)", "fit (s)", "unattr. (s)", "acc", "resid",
+                     "evals/n^2", "rank", "samples", "mem (MB)",
+                     "peak RSS (MB)"});
   for (const int n : sizes) {
     bench::PreparedData d = bench::prepare(c.dataset, n, ntest, c.seed);
 
@@ -76,9 +79,11 @@ int main(int argc, char** argv) {
          util::Table::fmt(r.factor_seconds, 2),
          util::Table::fmt(r.solve_seconds, 2),
          util::Table::fmt(r.score_seconds, 2),
-         util::Table::fmt(r.fit_seconds(), 2), util::Table::fmt_pct(r.accuracy),
-         util::Table::fmt_sci(evals_frac),
-         util::Table::fmt_int(r.max_rank),
+         util::Table::fmt(r.fit_seconds, 2),
+         util::Table::fmt(r.unattributed_seconds(), 2),
+         util::Table::fmt_pct(r.accuracy), util::Table::fmt_sci(r.residual),
+         util::Table::fmt_sci(evals_frac), util::Table::fmt_int(r.max_rank),
+         util::Table::fmt_int(r.samples),
          util::Table::fmt_mb(static_cast<double>(r.compressed_memory_bytes)),
          util::Table::fmt_mb(static_cast<double>(r.peak_rss_bytes))});
     rows_json.push(bench::scale_json_row(n, cfg, r));
@@ -88,7 +93,9 @@ int main(int argc, char** argv) {
   std::cout << "note: evals/n^2 << 1 plus the enforced n^2/4 eval budget is\n"
                "the matrix-free witness: no stage materialized or swept a\n"
                "dense n x n kernel.  Peak RSS is process-wide (includes\n"
-               "earlier, larger sweep entries).\n";
+               "earlier, larger sweep entries).  resid is the exact\n"
+               "residual of the weights on 256 sampled kernel rows, taken\n"
+               "after the eval count and peak RSS.\n";
 
   if (!bench::write_json_if_requested(c, doc)) return 1;
   return 0;

@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
                    util::Table::fmt(row.h, 2), util::Table::fmt(row.lambda, 1),
                    util::Table::fmt_pct(r.accuracy),
                    util::Table::fmt_pct(row.paper_acc),
-                   util::Table::fmt(r.fit_seconds(), 2),
+                   util::Table::fmt(r.fit_seconds, 2),
                    util::Table::fmt_mb(
                        static_cast<double>(r.compressed_memory_bytes)),
                    util::Table::fmt_int(r.max_rank)});

@@ -13,9 +13,14 @@
 //      - an element extraction callback (selected submatrices), and
 //      - a black-box product S = A*R against a random block
 //    i.e. the paper's "partially matrix-free interface".  Rank detection is
-//    adaptive: if any node's interpolative rank comes too close to the
-//    sample count, the construction restarts with twice the samples
-//    (geometric cost, deterministic given the seed).
+//    adaptive, in one bottom-up pass [Gorman et al., SISC 2019]: a node
+//    whose interpolative rank comes too close to the sample count stays
+//    open, and the next round draws as many new columns as are drawn so
+//    far, samples only those, extends every compressed node's sample by
+//    them and redoes the ID at the open nodes; their ancestors wait for
+//    them.  Each D and B01 is extracted once.  Which nodes saturate, and so
+//    every draw, sample and extraction, depends only on the matrix and the
+//    seed, not on the team size.
 //
 // The sampler callback is where the paper's H-matrix acceleration plugs in:
 // pass KernelMatrix::multiply for the honest O(n^2) dense sampling, or
@@ -48,7 +53,7 @@ struct HSSOptions {
   int max_rank = 0;        // 0 = unbounded (rank capped by sampling only)
   int init_samples = 64;   // randomized: initial sample columns
   int oversampling = 10;   // randomized: required rank head-room
-  int max_restarts = 6;    // randomized: sample-doubling budget
+  int max_restarts = 6;    // randomized: cap on sample-extension rounds
   bool symmetric = true;   // must stay true (see the header comment)
   std::uint64_t seed = 7;
 };

@@ -48,7 +48,7 @@ struct HSSStats {
   int num_leaves = 0;
   int levels = 0;
   int samples_used = 0;    // randomized construction: final sample count
-  int restarts = 0;        // randomized construction: adaptivity restarts
+  int restarts = 0;        // randomized construction: sample extensions
   double construction_seconds = 0.0;
   double sampling_seconds = 0.0;  // portion spent in A*R products
 };

@@ -73,12 +73,18 @@ SVDResult svd(const Matrix& a_in, const SVDOptions& opts) {
   const int players = (n % 2 == 0) ? n : n + 1;
   std::vector<int> ring(players);
   std::iota(ring.begin(), ring.end(), 0);
+  // A round forks a team only when its pairs hold enough work: small SVDs
+  // (ACA's recompression, a few dozen columns) run thousands of rounds, and
+  // each fork waits on every team member.  Each pair is rotated the same way
+  // by whichever thread runs it, so the gate changes no bit.
+  const bool parallel_rounds = static_cast<long>(players / 2) * m > 32768;
 
   for (int sweep = 0; sweep < opts.max_sweeps; ++sweep) {
     long rotations = 0;
     for (int round = 0; round < players - 1; ++round) {
       long round_rot = 0;
-#pragma omp parallel for schedule(static) reduction(+ : round_rot)
+#pragma omp parallel for schedule(static) reduction(+ : round_rot) \
+    if (parallel_rounds)
       for (int pair = 0; pair < players / 2; ++pair) {
         int p = ring[pair];
         int q = ring[players - 1 - pair];

@@ -141,7 +141,7 @@ struct SolverStats {
   double sampling_seconds = 0.0;  // portion of compress spent in A*R products
   std::size_t h_memory_bytes = 0;
   int samples = 0;   // final sample count
-  int restarts = 0;  // adaptivity restarts
+  int restarts = 0;  // sample-extension rounds after the first
 };
 
 /// One solver pipeline for (K + lambda I) w = y.  Implementations live in

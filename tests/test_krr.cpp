@@ -221,8 +221,9 @@ TEST(OneVsAll, SharesOneCompressionAcrossClasses) {
   krr::KRROptions opts = base_options(1.0, 1.0);
   krr::OneVsAllKRR clf(opts);
   clf.fit(ds.points, ds.labels, 4);
-  // One fit => one compression; stats report exactly one construction (the
-  // adaptive sampler may restart a bounded number of times within it).
+  // One fit => one compression; stats report exactly one construction (in
+  // it the adaptive sampler may extend its sample a bounded number of
+  // rounds).
   EXPECT_GT(clf.model().stats().compress_seconds, 0.0);
   EXPECT_LE(clf.model().stats().restarts, 2);
 }
